@@ -85,6 +85,16 @@ std::vector<Violation> InvariantChecker::violations() const {
   return stored_;
 }
 
+void InvariantChecker::NoteEvaluated(const char* invariant) {
+  std::lock_guard<std::mutex> lock(mu_);
+  evaluated_.insert(invariant);
+}
+
+std::set<std::string> InvariantChecker::EvaluatedRules() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return std::set<std::string>(evaluated_.begin(), evaluated_.end());
+}
+
 uint64_t InvariantChecker::ReportToStderr() const {
   uint64_t count = violation_count();
   if (count == 0) {

@@ -39,6 +39,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -101,6 +102,9 @@ class InvariantChecker {
   void Expect(bool ok, const char* invariant, SimTime at, DetailFn&& detail,
               obs::TraceArgs args = {}) {
     checks_run_.fetch_add(1, std::memory_order_relaxed);
+    if (track_rules_.load(std::memory_order_relaxed)) {
+      NoteEvaluated(invariant);
+    }
     if (!ok) {
       Report(invariant, at, detail(), args);
     }
@@ -114,6 +118,13 @@ class InvariantChecker {
     return violation_count_.load(std::memory_order_relaxed);
   }
   std::vector<Violation> violations() const;
+
+  // Opt-in rule census for test suites: once enabled, Expect also records
+  // every distinct invariant id it evaluates, so a suite can assert that a
+  // rule actually ran (a rule that never runs can never fail). Enable it
+  // before installing the checker.
+  void TrackEvaluatedRules() { track_rules_.store(true, std::memory_order_relaxed); }
+  std::set<std::string> EvaluatedRules() const;
 
   // Writes the end-of-run summary (one line per stored violation plus a
   // checks/violations tally) to stderr. Returns the violation count.
@@ -132,11 +143,15 @@ class InvariantChecker {
   static constexpr size_t kMaxStoredViolations = 256;
 
  private:
+  void NoteEvaluated(const char* invariant);
+
   const CheckMode mode_;
   std::atomic<uint64_t> checks_run_{0};
   std::atomic<uint64_t> violation_count_{0};
+  std::atomic<bool> track_rules_{false};
   mutable std::mutex mu_;
   std::vector<Violation> stored_;
+  std::set<const char*> evaluated_;  // invariant ids are string literals
 };
 
 // RAII: installs an InvariantChecker per CheckConfig::FromEnv() for the

@@ -89,13 +89,18 @@ class Actuator {
   // --- helpers ------------------------------------------------------------
   ClusterHost& HostOf(HostId id) { return *state_.hosts[id]; }
   VmSlot& Slot(VmId id) { return state_.vms[id]; }
-  // The single gateway for residency changes: keeps the per-home partial
-  // count exact (a VM's home never changes) and records the change in the
-  // planner's dirty log. No actuator code assigns vm.residency directly.
+  // The three write funnels. No actuator code assigns vm.residency,
+  // vm.migration_in_flight or vm.location directly: each funnel removes the
+  // VM's contribution to ClusterState's maintained aggregates, writes its
+  // one field, and adds the contribution back from the VM's current fields,
+  // so the order of a verb's writes never matters.
   void SetResidency(VmSlot& vm, VmResidency next);
-  // Records an in-flight flip (ScheduleMigration / FinishMigration /
-  // RollbackMigration) in the planner's dirty log.
-  void MarkInFlightChanged(const VmSlot& vm);
+  void SetInFlight(VmSlot& vm, bool in_flight);
+  // Moves the VM between resident sets and updates vm.location. Capacity
+  // reservations and active counts stay with the caller.
+  void MoveResident(SimTime now, VmSlot& vm, HostId dest);
+  // Adds (+1) or removes (-1) one VM's share of every maintained aggregate.
+  void CountVm(const VmSlot& vm, int delta);
   // Sends the WoL and returns the time the host will be executing VMs. With
   // fault injection the wake can lose WoL packets or hang in resume, pushing
   // that time out; callers must use the returned value rather than asking

@@ -45,17 +45,11 @@ void ClusterHost::Release(uint64_t bytes) {
 void ClusterHost::AddVm(SimTime now, VmId vm) {
   vms_.insert(vm);
   meter_.SetDraw(now, CurrentDraw());
-  if (dirty_ != nullptr) {
-    dirty_->MarkHost(id_);
-  }
 }
 
 void ClusterHost::RemoveVm(SimTime now, VmId vm) {
   vms_.erase(vm);
   meter_.SetDraw(now, CurrentDraw());
-  if (dirty_ != nullptr) {
-    dirty_->MarkHost(id_);
-  }
 }
 
 void ClusterHost::SetActiveVms(SimTime now, int n) {

@@ -58,11 +58,6 @@ class ClusterHost {
   void Reserve(uint64_t bytes);
   void Release(uint64_t bytes);
 
-  // Wires the owning manager's planner change log; resident-set changes
-  // self-mark this host so the incremental planner rescans it (nullptr — the
-  // default — disables marking, e.g. for standalone hosts in tests).
-  void set_dirty_tracker(DirtyTracker* tracker) { dirty_ = tracker; }
-
   // --- VM presence ------------------------------------------------------
   // Adding/removing VMs changes the host's power draw (which saturates at
   // the Table 1 twenty-VM measurement), so both take the current time.
@@ -130,7 +125,6 @@ class ClusterHost {
 
   HostId id_;
   HostRole role_;
-  DirtyTracker* dirty_ = nullptr;
   HostPowerProfile power_;
   bool s3_capable_ = true;
   int profile_class_ = 0;

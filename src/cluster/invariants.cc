@@ -32,6 +32,32 @@ void CheckClusterInvariants(const ClusterManager& manager, SimTime now,
   const size_t num_hosts = manager.num_hosts();
   const size_t num_vms = manager.num_vms();
 
+  // One pass over the VM table derives every per-host sum the walk compares
+  // against: each home's full reservation for its own VMs, and from-scratch
+  // recounts of the aggregates the Actuator maintains in ClusterState.
+  std::vector<uint64_t> home_full_bytes(num_hosts, 0);
+  std::vector<int> partials_homed(num_hosts, 0);
+  std::vector<int> fac_homed(num_hosts, 0);
+  std::vector<int> inflight_residents(num_hosts, 0);
+  std::vector<int> partial_residents(num_hosts, 0);
+  for (size_t v = 0; v < num_vms; ++v) {
+    const VmSlot& vm = manager.GetVm(static_cast<VmId>(v));
+    if (static_cast<size_t>(vm.home) >= num_hosts ||
+        static_cast<size_t>(vm.location) >= num_hosts) {
+      continue;  // reported by the per-VM rules below
+    }
+    home_full_bytes[vm.home] += vm.full_bytes;
+    if (vm.residency == VmResidency::kPartial) {
+      ++partials_homed[vm.home];
+      ++partial_residents[vm.location];
+    } else if (vm.residency == VmResidency::kFullAtConsolidation) {
+      ++fac_homed[vm.home];
+    }
+    if (vm.migration_in_flight) {
+      ++inflight_residents[vm.location];
+    }
+  }
+
   // --- VM partition: every VM resident on exactly one host ------------------
   std::vector<uint32_t> residencies(num_vms, 0);
   for (size_t h = 0; h < num_hosts; ++h) {
@@ -65,12 +91,7 @@ void CheckClusterInvariants(const ClusterManager& manager, SimTime now,
       }
     }
     if (host.IsHomeHost()) {
-      for (size_t v = 0; v < num_vms; ++v) {
-        const VmSlot& vm = manager.GetVm(static_cast<VmId>(v));
-        if (vm.home == host.id()) {
-          reserved_expected += vm.full_bytes;
-        }
-      }
+      reserved_expected += home_full_bytes[h];
     }
     checker.Expect(host.active_vms() == active_here, "cluster.active_count_balanced", now,
                    [&] {
@@ -162,29 +183,32 @@ void CheckClusterInvariants(const ClusterManager& manager, SimTime now,
   }
 
   // --- maintained aggregates ------------------------------------------------
-  // partials_homed is updated at every residency transition; re-derive it
-  // from the VM table so a missed or double-counted transition is caught
-  // within one planning round.
+  // The Actuator adjusts these at every write of a VM's residency, in-flight
+  // flag or location; comparing them with the recount above catches a missed
+  // or double-counted write within one planning round.
   {
-    std::vector<int> derived(num_hosts, 0);
-    for (size_t v = 0; v < num_vms; ++v) {
-      const VmSlot& vm = manager.GetVm(static_cast<VmId>(v));
-      if (vm.residency == VmResidency::kPartial) {
-        ++derived[vm.home];
+    const ClusterState& state = manager.state();
+    auto expect_exact = [&](const char* invariant, const char* what,
+                            const std::vector<int>& maintained,
+                            const std::vector<int>& derived) {
+      for (size_t h = 0; h < num_hosts; ++h) {
+        checker.Expect(maintained[h] == derived[h], invariant, now,
+                       [&] {
+                         return "host " + std::to_string(h) + " " + what + " counter says " +
+                                std::to_string(maintained[h]) + ", walk found " +
+                                std::to_string(derived[h]);
+                       },
+                       obs::TraceArgs{static_cast<int64_t>(h), -1, maintained[h]});
       }
-    }
-    for (size_t h = 0; h < num_hosts; ++h) {
-      HostId hid = static_cast<HostId>(h);
-      checker.Expect(manager.PartialsHomedAt(hid) == derived[h],
-                     "cluster.partials_homed_counter_exact", now,
-                     [&] {
-                       return "home " + std::to_string(hid) + " counter says " +
-                              std::to_string(manager.PartialsHomedAt(hid)) +
-                              " partials homed, walk found " + std::to_string(derived[h]);
-                     },
-                     obs::TraceArgs{H(hid), -1,
-                                    static_cast<int64_t>(manager.PartialsHomedAt(hid))});
-    }
+    };
+    expect_exact("cluster.partials_homed_counter_exact", "partials-homed",
+                 state.partials_homed, partials_homed);
+    expect_exact("cluster.fac_homed_exact", "full-at-consolidation-homed", state.fac_homed,
+                 fac_homed);
+    expect_exact("cluster.inflight_residents_exact", "in-flight-residents",
+                 state.inflight_residents, inflight_residents);
+    expect_exact("cluster.partial_residents_exact", "partial-residents",
+                 state.partial_residents, partial_residents);
   }
 
   // --- per-VM state machine -------------------------------------------------

@@ -67,14 +67,12 @@ ClusterManager::ClusterManager(const ClusterConfig& config, TraceSet trace,
     }
   }
   state_.pending_wake_powered_at.assign(state_.hosts.size(), SimTime::Zero());
+  // Every VM starts full at home with nothing in flight, so each maintained
+  // aggregate starts at zero.
   state_.partials_homed.assign(state_.hosts.size(), 0);
-  // Size the planner change log and wire host self-marking only now:
-  // construction-time marks would be redundant with the planner's first
-  // refresh, which is always a full rebuild.
-  state_.dirty.Reset(state_.hosts.size(), state_.vms.size());
-  for (const auto& host : state_.hosts) {
-    host->set_dirty_tracker(&state_.dirty);
-  }
+  state_.fac_homed.assign(state_.hosts.size(), 0);
+  state_.inflight_residents.assign(state_.hosts.size(), 0);
+  state_.partial_residents.assign(state_.hosts.size(), 0);
 }
 
 ClusterMetrics ClusterManager::Run() {

@@ -6,32 +6,22 @@
 // and draw from the shared planning streams at the exact same points, so a
 // run under this strategy is byte-identical to the pre-refactor manager.
 //
-// The strategy has two interchangeable backends (see DESIGN.md, "Hot path"):
-//
-//   full         — every pass rescans the whole ClusterView. The reference
-//                  implementation, kept deliberately close to the legacy
-//                  manager's loops.
-//   incremental  — per-host scan state ({in-flight residents, partial
-//                  residents} counts and per-home full-at-consolidation
-//                  membership) is kept across intervals and refreshed from
-//                  the DirtyTracker change log before each pass. Everything
-//                  else (power states, capacities, activity, idleness trust)
-//                  is read live, and the planning streams are drawn in the
-//                  full backend's exact order, so the decisions — and the
-//                  whole simulation — are identical byte for byte.
-//
-// OASIS_PLAN picks the backend per process; "verify" runs both per pass
-// (rewinding the planning streams in between) and dies on any divergence.
+// Wherever a per-VM walk would only count residents, the passes read the
+// aggregates the Actuator maintains in ClusterState instead (see DESIGN.md,
+// "Hot path"): a home with no full-at-consolidation VM has no swap
+// candidates, a home with a resident in flight cannot be vacated, and a
+// consolidation host is a drain source only when all its residents are
+// partial and none is in flight. Everything else (power states, capacities,
+// activity, idleness trust) is read live from the view.
 //
 // The class is exposed (rather than hidden behind its factory) so tests can
-// drive BuildVacatePlan directly against a manager's view and assert on the
+// call ComputeVacatePlan directly against a manager's view and assert on the
 // power-delta gate without running a whole day.
 
 #ifndef OASIS_SRC_CLUSTER_STRATEGY_OASIS_H_
 #define OASIS_SRC_CLUSTER_STRATEGY_OASIS_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -39,49 +29,16 @@
 
 namespace oasis {
 
-// How the oasis-greedy strategy derives each interval's plan. Selected once
-// per strategy instance, normally from OASIS_PLAN at construction.
-enum class PlanMode {
-  kFull,         // rebuild every scan from the view (the legacy reference)
-  kIncremental,  // dirty-set-refreshed scan state; provably identical output
-  kVerify,       // run both per pass and exit(2) on any divergence
-};
-
-// Parses OASIS_PLAN (full|incremental|verify; unset/empty defaults to
-// incremental — safe because the backends are pinned byte-identical). An
-// unknown value is a fatal configuration error: exit status 2, mirroring
-// OASIS_PROF and OASIS_POLICY.
-PlanMode PlanModeFromEnv();
-
-// The OASIS_PLAN spelling of `mode` (for bench/JSON reporting).
-const char* PlanModeName(PlanMode mode);
-
 class OasisGreedyStrategy : public ConsolidationStrategy {
  public:
-  explicit OasisGreedyStrategy(PlanMode mode = PlanModeFromEnv()) : mode_(mode) {}
-
   const char* name() const override { return kDefaultStrategyName; }
-  StrategyTraits traits() const override {
-    return {/*has_power_gate=*/true, /*supports_plan_modes=*/true};
-  }
   PlanActions PlanInterval(const ClusterView& view, SimTime now, Actuator& act) override;
-  PlanMode mode() const { return mode_; }
 
-  // Pre-samples the working set each trusted-idle VM on a vacate-eligible
-  // home would consolidate with. Both plan variants share the samples so
-  // they compare like for like. (Full backend; the incremental backend fuses
-  // this into its candidate scan, drawing in the same order.)
-  std::unordered_map<VmId, uint64_t> PresampleWorkingSets(const ClusterView& view,
-                                                          SimTime now) const;
-  // Builds (without committing) one vacate plan: candidate homes by
-  // ascending demand, random destinations among powered consolidation
-  // hosts, first-fit spill onto sleeping ones when allowed, and the §3.1
-  // net power delta of executing it.
-  VacatePlan BuildVacatePlan(const ClusterView& view, SimTime now,
-                             bool allow_waking_consolidation_hosts,
-                             const std::unordered_map<VmId, uint64_t>& planned_ws) const;
-  bool HostEligibleForVacate(const ClusterView& view, const ClusterHost& host,
-                             SimTime now) const;
+  // Builds (without committing) pass 2's vacate plan: every vacate-eligible
+  // home as a candidate, each trusted-idle resident priced at a freshly
+  // sampled working set, then PriceBestPlan. Draws from both planning
+  // streams.
+  VacatePlan ComputeVacatePlan(const ClusterView& view, SimTime now) const;
 
  protected:
   // The building blocks PredictiveStrategy composes with: candidate/dest
@@ -98,62 +55,34 @@ class OasisGreedyStrategy : public ConsolidationStrategy {
     bool used = false;
   };
 
-  // --- backend-shared execution and pricing -------------------------------
-  // Places the (already demand-sorted) candidates onto a scratch copy of the
-  // destination table and prices the resulting plan. This is the only part
-  // of pass 2 that draws from the planning rng, so both backends share it.
-  VacatePlan PlaceAndPrice(const ClusterView& view, SimTime now,
-                           const std::vector<Candidate>& candidates,
-                           std::vector<Dest> dests, size_t powered_dests,
+  // Places the (already demand-sorted) candidates twice — onto the powered
+  // consolidation hosts only, and with spill onto sleeping ones allowed —
+  // and returns whichever plan saves more power (ties keep the no-wake
+  // plan). A nonzero planned_ws[vm] places that VM as a partial of that
+  // many bytes.
+  VacatePlan PriceBestPlan(const ClusterView& view, const std::vector<Candidate>& candidates,
                            const std::vector<uint64_t>& planned_ws) const;
   void MaybeCommitVacatePlan(SimTime now, Actuator& act, PlanActions& actions,
                              const VacatePlan& best) const;
 
  private:
-  // Per-host cached scan state for the incremental backend. Deliberately
-  // minimal: everything except these two resident counts is O(1) to read
-  // live from the view, so caching more would only widen the invalidation
-  // surface.
-  struct HostRow {
-    int inflight_residents = 0;
-    int partial_residents = 0;
-  };
   // Pass 1 decisions: (home, swap group) pairs in ascending home order.
   using SwapGroups = std::vector<std::pair<HostId, std::vector<VmId>>>;
 
+  SwapGroups ComputeSwapGroups(const ClusterView& view, SimTime now) const;
   void ExecuteSwapGroups(const SwapGroups& groups, SimTime now, Actuator& act,
                          PlanActions& actions) const;
+  // Places candidates onto a scratch copy of `dests` and prices the result.
+  // The only code in pass 2 that draws from the planning rng.
+  VacatePlan PlaceAndPrice(const ClusterView& view, const std::vector<Candidate>& candidates,
+                           std::vector<Dest> dests, size_t powered_dests,
+                           const std::vector<uint64_t>& planned_ws) const;
+  HostId SelectDrainSource(const ClusterView& view, SimTime now) const;
   // Executes the incremental drain from `source_id` (kNoHost = nothing to
   // drain): the completion-feasibility gate plus the per-VM moves, whose
   // destination scans stay live because each move mutates the cluster.
   int ExecuteDrain(const ClusterView& view, SimTime now, Actuator& act,
                    HostId source_id) const;
-
-  // --- full backend -------------------------------------------------------
-  SwapGroups ComputeSwapGroupsFull(const ClusterView& view, SimTime now) const;
-  VacatePlan ComputeVacatePlanFull(const ClusterView& view, SimTime now) const;
-  HostId SelectDrainSourceFull(const ClusterView& view, SimTime now) const;
-
-  // --- incremental backend ------------------------------------------------
-  // Folds the DirtyTracker change log into the cached rows. Must run before
-  // *each* pass: executing a pass mutates state that later passes read.
-  void Refresh(const ClusterView& view);
-  void RebuildRow(const ClusterView& view, HostId h);
-  SwapGroups ComputeSwapGroupsIncremental(const ClusterView& view, SimTime now) const;
-  VacatePlan ComputeVacatePlanIncremental(const ClusterView& view, SimTime now);
-  HostId SelectDrainSourceIncremental(const ClusterView& view, SimTime now) const;
-
-  PlanMode mode_;
-
-  // Incremental scan cache. This is *derived* state — rebuildable from the
-  // view at any time, invalidated precisely by the DirtyTracker marks — not
-  // decision memory, so the strategy stays a pure function of the cluster
-  // state (see the doctrine note in strategy.h).
-  bool primed_ = false;
-  std::vector<HostRow> rows_;      // per host
-  std::vector<uint8_t> is_fac_;    // per VM: residency == kFullAtConsolidation
-  std::vector<int> fac_count_;     // per home: VMs homed there with is_fac_ set
-  std::vector<uint64_t> planned_ws_;  // per-interval scratch (flat VmId index)
 };
 
 }  // namespace oasis

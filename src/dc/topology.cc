@@ -1,5 +1,7 @@
 #include "src/dc/topology.h"
 
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 
@@ -104,8 +106,9 @@ void ApplyDatacenterEnvOverrides(DatacenterConfig* config) {
     return;
   }
   char* end = nullptr;
+  errno = 0;
   long value = std::strtol(env, &end, 10);
-  if (end == nullptr || *end != '\0' || value <= 0) {
+  if (end == nullptr || *end != '\0' || errno == ERANGE || value <= 0 || value > INT_MAX) {
     std::fprintf(stderr,
                  "OASIS_DC_RACKS=%s is not a positive integer (rack-count override)\n",
                  env);

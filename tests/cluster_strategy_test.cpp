@@ -3,7 +3,7 @@
 //
 //   - ClusterManager::BaselineEnergy closed form and trace-independence.
 //   - The §3.1 power-delta gate, driven directly through
-//     OasisGreedyStrategy::BuildVacatePlan against a live manager's view —
+//     OasisGreedyStrategy::ComputeVacatePlan against a live manager's view —
 //     no full-day run needed to see the gate open or close.
 //   - Digest identity: an explicit strategy_name = "oasis-greedy" is
 //     byte-identical to the default-constructed config.
@@ -89,23 +89,15 @@ TEST(VacatePlanGateTest, AllIdleClusterBuildsAPowerSavingPlan) {
   ClusterManager manager(config, UniformTrace(config.TotalVms(), false));
   ClusterView view = manager.View();
 
-  OasisGreedyStrategy strategy;
   // VmSlot::idle_since predates the epoch by eras, so a VM idle from trace
-  // interval 0 is already trusted-idle at t=0.
-  SimTime now = SimTime::Zero();
-  for (HostId h = 0; h < static_cast<HostId>(view.num_hosts()); ++h) {
-    const ClusterHost& host = view.host(h);
-    if (host.IsHomeHost()) {
-      EXPECT_TRUE(strategy.HostEligibleForVacate(view, host, now)) << "home " << h;
-    }
-  }
+  // interval 0 is already trusted-idle at t=0: every home is a candidate and
+  // every VM is planned as a partial. The consolidation hosts start asleep,
+  // so only the plan that may wake them places anything.
+  VacatePlan plan = OasisGreedyStrategy().ComputeVacatePlan(view, SimTime::Zero());
 
-  auto planned_ws = strategy.PresampleWorkingSets(view, now);
-  EXPECT_EQ(planned_ws.size(), static_cast<size_t>(config.TotalVms()));
-  VacatePlan plan = strategy.BuildVacatePlan(view, now, /*allow_waking=*/true, planned_ws);
-
-  ASSERT_FALSE(plan.hosts_to_vacate.empty());
+  EXPECT_EQ(plan.hosts_to_vacate.size(), static_cast<size_t>(config.num_home_hosts));
   EXPECT_GT(plan.net_power_delta_watts, 0.0);
+  EXPECT_GT(plan.newly_woken_consolidation_hosts, 0);
   ASSERT_EQ(plan.placements.size(), plan.hosts_to_vacate.size());
   for (const auto& group : plan.placements) {
     EXPECT_EQ(group.size(), static_cast<size_t>(config.vms_per_home));
@@ -140,16 +132,19 @@ TEST(VacatePlanGateTest, TrustedIdleGatesEligibility) {
 TEST(VacatePlanGateTest, RuinousMemoryServerPowerClosesTheGate) {
   // Inflate the memory servers until parking a home costs more than it
   // saves: the plan still packs every VM, but its net delta goes negative.
+  // The consolidation hosts are S3-incapable, so they start the day powered
+  // and even the no-wake plan has somewhere to put every VM (with sleeping
+  // hosts it would place nothing and price at exactly zero).
   ClusterConfig config = SmallCluster(ConsolidationPolicy::kFullToPartial);
   config.memory_server_power = MemoryServerProfile::WithPower(10'000.0);
+  config.fleet.segments = {{"table1", config.num_home_hosts},
+                           {"legacy-no-s3", config.num_consolidation_hosts}};
+  ASSERT_TRUE(config.Validate().ok());
   ClusterManager manager(config, UniformTrace(config.TotalVms(), false));
   ClusterView view = manager.View();
 
-  OasisGreedyStrategy strategy;
-  auto planned_ws = strategy.PresampleWorkingSets(view, SimTime::Zero());
-  VacatePlan plan =
-      strategy.BuildVacatePlan(view, SimTime::Zero(), /*allow_waking=*/true, planned_ws);
-  EXPECT_FALSE(plan.hosts_to_vacate.empty());
+  VacatePlan plan = OasisGreedyStrategy().ComputeVacatePlan(view, SimTime::Zero());
+  EXPECT_EQ(plan.hosts_to_vacate.size(), static_cast<size_t>(config.num_home_hosts));
   EXPECT_LT(plan.net_power_delta_watts, 0.0);
 }
 

@@ -143,9 +143,14 @@ TEST(DatacenterEnvDeathTest, UnknownRackCountExitsWithStatus2) {
   setenv("OASIS_DC_RACKS", "a-rack-count", 1);
   EXPECT_EXIT(ApplyDatacenterEnvOverrides(&config), ::testing::ExitedWithCode(2),
               "OASIS_DC_RACKS");
-  setenv("OASIS_DC_RACKS", "-3", 1);
-  EXPECT_EXIT(ApplyDatacenterEnvOverrides(&config), ::testing::ExitedWithCode(2),
-              "not a positive integer");
+  // Past INT_MAX, and past long's range (strtol reports ERANGE), the value
+  // must not be truncated into some other rack count.
+  for (const char* bad : {"-3", "4294967297", "99999999999999999999"}) {
+    setenv("OASIS_DC_RACKS", bad, 1);
+    EXPECT_EXIT(ApplyDatacenterEnvOverrides(&config), ::testing::ExitedWithCode(2),
+                "not a positive integer")
+        << "value: " << bad;
+  }
   unsetenv("OASIS_DC_RACKS");
 }
 

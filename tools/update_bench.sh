@@ -8,12 +8,9 @@
 # its wall-clock profile (parallel efficiency, merge-serial fraction, named
 # bottleneck). The snapshot also records, per sweep point, the effective
 # worker count after the runner's clamp (plus any requested job counts that
-# collapsed to an already-measured count on this host), and a "plan_modes"
-# section with serial events/s under both planner backends
-# (OASIS_PLAN=full and incremental) so the incremental planner's speedup is
-# tracked across PRs. Absolute numbers are machine-dependent — review the
-# diff for the *shape* (efficiency, fractions, bottleneck, mode ratio), not
-# the raw seconds.
+# collapsed to an already-measured count on this host). Absolute numbers are
+# machine-dependent — review the diff for the *shape* (efficiency, fractions,
+# bottleneck), not the raw seconds.
 set -eu
 
 repo=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
