@@ -282,31 +282,40 @@ SimTime Actuator::ReturnHomeGroup(SimTime now, HostId home_id, VmId requester,
 void Actuator::PartialVmUpkeep(SimTime now) {
   const TrafficVolumes& vol = config_.volumes;
   uint64_t growth = GrowthPerInterval(config_);
-  double interval_minutes = config_.planning_interval.minutes();
-  std::set<HostId> exhausted_homes;
-  for (VmSlot& vm : state_.vms) {
-    if (vm.residency != VmResidency::kPartial || vm.migration_in_flight) {
+  uint64_t dirty_step =
+      MiBToBytes(vol.dirty_mib_per_minute * config_.planning_interval.minutes());
+  // Only homes with partials are walked. Homes ascend and each home's VM ids
+  // are contiguous, so VMs are still visited in ascending id (the CanFit /
+  // Reserve order) and exhausted homes arrive ascending.
+  std::vector<HostId> exhausted_homes;
+  for (size_t home = 0; home < state_.partials_homed.size(); ++home) {
+    if (state_.partials_homed[home] == 0) {
       continue;
     }
-    // On-demand fetch: geometric drain of the unfetched working set.
-    uint64_t fetch = static_cast<uint64_t>(static_cast<double>(vm.ws_unfetched) *
-                                           vol.on_demand_fraction_per_interval);
-    fetch = std::min(fetch, vol.on_demand_cap_per_interval);
-    if (fetch > 0) {
-      metrics_.traffic.Add(TrafficCategory::kOnDemandPages, fetch);
-      vm.ws_unfetched -= fetch;
-    }
-    // Dirty-state accumulation (drives reintegration volume).
-    uint64_t dirty_step = MiBToBytes(vol.dirty_mib_per_minute * interval_minutes);
-    vm.dirty_bytes = std::min(vm.dirty_bytes + dirty_step, vol.dirty_cap_bytes);
-    // Working-set growth; an overfull consolidation host forces a return.
-    if (growth > 0) {
-      ClusterHost& host = HostOf(vm.location);
-      if (host.CanFit(growth)) {
-        host.Reserve(growth);
-        vm.ws_bytes += growth;
-      } else {
-        exhausted_homes.insert(vm.home);
+    for (VmId id : state_.vms_by_home[home]) {
+      VmSlot& vm = Slot(id);
+      if (vm.residency != VmResidency::kPartial || vm.migration_in_flight) {
+        continue;
+      }
+      // On-demand fetch: geometric drain of the unfetched working set.
+      uint64_t fetch = static_cast<uint64_t>(static_cast<double>(vm.ws_unfetched) *
+                                             vol.on_demand_fraction_per_interval);
+      fetch = std::min(fetch, vol.on_demand_cap_per_interval);
+      if (fetch > 0) {
+        metrics_.traffic.Add(TrafficCategory::kOnDemandPages, fetch);
+        vm.ws_unfetched -= fetch;
+      }
+      // Dirty-state accumulation (drives reintegration volume).
+      vm.dirty_bytes = std::min(vm.dirty_bytes + dirty_step, vol.dirty_cap_bytes);
+      // Working-set growth; an overfull consolidation host forces a return.
+      if (growth > 0) {
+        ClusterHost& host = HostOf(vm.location);
+        if (host.CanFit(growth)) {
+          host.Reserve(growth);
+          vm.ws_bytes += growth;
+        } else if (exhausted_homes.empty() || exhausted_homes.back() != vm.home) {
+          exhausted_homes.push_back(vm.home);
+        }
       }
     }
   }
@@ -778,7 +787,7 @@ void Actuator::CrashHost(SimTime now, HostId id) {
   // (a home never releases the reservation for its own VM, so capacity is
   // guaranteed); partials lose their resident pages and reintegrate with
   // their whole home group below.
-  std::vector<VmId> residents(host.vms().begin(), host.vms().end());
+  std::vector<VmId> residents = host.vms();
   std::set<HostId> partial_homes;
   for (VmId vid : residents) {
     VmSlot& vm = Slot(vid);

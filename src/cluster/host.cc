@@ -43,12 +43,16 @@ void ClusterHost::Release(uint64_t bytes) {
 }
 
 void ClusterHost::AddVm(SimTime now, VmId vm) {
-  vms_.insert(vm);
+  auto it = std::lower_bound(vms_.begin(), vms_.end(), vm);
+  assert((it == vms_.end() || *it != vm) && "VM already resident on this host");
+  vms_.insert(it, vm);
   meter_.SetDraw(now, CurrentDraw());
 }
 
 void ClusterHost::RemoveVm(SimTime now, VmId vm) {
-  vms_.erase(vm);
+  auto it = std::lower_bound(vms_.begin(), vms_.end(), vm);
+  assert(it != vms_.end() && *it == vm && "VM not resident on this host");
+  vms_.erase(it);
   meter_.SetDraw(now, CurrentDraw());
 }
 

@@ -5,9 +5,9 @@
 #ifndef OASIS_SRC_CLUSTER_HOST_H_
 #define OASIS_SRC_CLUSTER_HOST_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <set>
 #include <vector>
 
 #include "src/cluster/cluster_types.h"
@@ -61,10 +61,14 @@ class ClusterHost {
   // --- VM presence ------------------------------------------------------
   // Adding/removing VMs changes the host's power draw (which saturates at
   // the Table 1 twenty-VM measurement), so both take the current time.
+  // AddVm requires the VM to be absent and RemoveVm requires it present.
   void AddVm(SimTime now, VmId vm);
   void RemoveVm(SimTime now, VmId vm);
-  const std::set<VmId>& vms() const { return vms_; }
+  // The resident set, strictly ascending. Every planner walk — and so every
+  // working-set draw — visits residents in this order.
+  const std::vector<VmId>& vms() const { return vms_; }
   bool HasVms() const { return !vms_.empty(); }
+  bool HasVm(VmId vm) const { return std::binary_search(vms_.begin(), vms_.end(), vm); }
 
   // Number of active VMs currently executing here. Purely logical (a host
   // with active VMs must never sleep); the draw follows the resident count.
@@ -131,7 +135,7 @@ class ClusterHost {
   Watts ms_watts_;
   uint64_t capacity_bytes_;
   uint64_t reserved_bytes_ = 0;
-  std::set<VmId> vms_;
+  std::vector<VmId> vms_;  // strictly ascending
   int active_vms_ = 0;
 
   HostPowerState state_;

@@ -168,7 +168,7 @@ void ClusterManager::OnInterval(SimTime now, int interval) {
       act_.MaybeSleepHomeHost(now, host->id());
     }
   }
-  RecordSnapshot(now, interval);
+  RecordSnapshot(now);
   if (check::InvariantChecker* c = check::InvariantChecker::IfEnabled()) {
     // The conservation walk runs after every planning round, so a violation
     // is reported within one interval of the step that introduced it.
@@ -202,9 +202,14 @@ void ClusterManager::OnInterval(SimTime now, int interval) {
 }
 
 void ClusterManager::UpdateActivities(SimTime now, int interval) {
+  // VM v follows user v % trace_.size(); a wrapping cursor walks that
+  // mapping without a division per VM.
+  size_t user = 0;
   for (VmSlot& vm : state_.vms) {
-    bool should_be_active =
-        trace_[vm.id % trace_.size()].IsActive(interval);
+    bool should_be_active = trace_[user].IsActive(interval);
+    if (++user == trace_.size()) {
+      user = 0;
+    }
     bool is_active = vm.activity == VmActivity::kActive;
     if (should_be_active == is_active) {
       continue;
@@ -227,31 +232,25 @@ void ClusterManager::UpdateActivities(SimTime now, int interval) {
   }
 }
 
-void ClusterManager::RecordSnapshot(SimTime now, int interval) {
-  (void)interval;
+void ClusterManager::RecordSnapshot(SimTime now) {
+  // The VM counts come from the maintained aggregates (every VM is resident
+  // on exactly one host), which the invariant walk recounts every round.
   IntervalSnapshot snap;
   snap.time = now;
-  for (const VmSlot& vm : state_.vms) {
-    if (vm.activity == VmActivity::kActive) {
-      ++snap.active_vms;
-    }
-    if (vm.residency == VmResidency::kPartial) {
-      ++snap.partial_vms;
-    }
-    if (vm.residency == VmResidency::kFullAtConsolidation) {
-      ++snap.full_at_consolidation_vms;
-    }
-  }
-  for (const auto& host : state_.hosts) {
-    if (!host->IsPowered()) {
+  for (size_t h = 0; h < state_.hosts.size(); ++h) {
+    const ClusterHost& host = *state_.hosts[h];
+    snap.active_vms += host.active_vms();
+    snap.partial_vms += state_.partials_homed[h];
+    snap.full_at_consolidation_vms += state_.fac_homed[h];
+    if (!host.IsPowered()) {
       continue;
     }
     ++snap.powered_hosts;
-    if (host->IsHomeHost()) {
+    if (host.IsHomeHost()) {
       ++snap.powered_home_hosts;
     } else {
       ++snap.powered_consolidation_hosts;
-      metrics_.consolidation_ratio.Add(static_cast<double>(host->vms().size()));
+      metrics_.consolidation_ratio.Add(static_cast<double>(host.vms().size()));
     }
   }
   metrics_.timeline.push_back(snap);

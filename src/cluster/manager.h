@@ -89,7 +89,7 @@ class ClusterManager {
   // --- interval pipeline --------------------------------------------------
   void OnInterval(SimTime now, int interval);
   void UpdateActivities(SimTime now, int interval);
-  void RecordSnapshot(SimTime now, int interval);
+  void RecordSnapshot(SimTime now);
 
   ClusterConfig config_;
   TraceSet trace_;

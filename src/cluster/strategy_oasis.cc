@@ -159,15 +159,18 @@ VacatePlan OasisGreedyStrategy::PlaceAndPrice(const ClusterView& view,
                                               std::vector<Dest> dests, size_t powered_dests,
                                               const std::vector<uint64_t>& planned_ws) const {
   VacatePlan plan;
+  // One candidate's tentative claims on dests, reused across candidates.
+  struct Tentative {
+    size_t idx;
+    uint64_t bytes;
+    bool active;
+  };
+  std::vector<Tentative> tentative;
   for (const Candidate& cand : candidates) {
     const ClusterHost& host = view.host(cand.host);
     std::vector<VacatePlacement> placement;
-    struct Tentative {
-      size_t idx;
-      uint64_t bytes;
-      bool active;
-    };
-    std::vector<Tentative> tentative;
+    placement.reserve(host.vms().size());
+    tentative.clear();
     bool ok = true;
     for (VmId id : host.vms()) {
       const VmSlot& vm = view.vm(id);
@@ -188,9 +191,9 @@ VacatePlan OasisGreedyStrategy::PlaceAndPrice(const ClusterView& view,
         if (count == 0 || placed) {
           return;
         }
-        size_t start = randomize ? first + view.planning_rng().NextBelow(count) : first;
+        // Probe each dest in the segment once, wrapping at its end.
+        size_t idx = randomize ? first + view.planning_rng().NextBelow(count) : first;
         for (size_t k = 0; k < count; ++k) {
-          size_t idx = first + (start - first + k) % count;
           Dest& d = dests[idx];
           if (d.available >= need && (!consumes_cpu || d.active_slots > 0)) {
             d.available -= need;
@@ -201,6 +204,9 @@ VacatePlan OasisGreedyStrategy::PlaceAndPrice(const ClusterView& view,
             placement.push_back({id, d.host, as_partial, need});
             placed = true;
             return;
+          }
+          if (++idx == first + count) {
+            idx = first;
           }
         }
       };
@@ -323,7 +329,7 @@ int OasisGreedyStrategy::ExecuteDrain(const ClusterView& view, SimTime now, Actu
     return 0;
   }
 
-  std::vector<VmId> movable(source.vms().begin(), source.vms().end());
+  std::vector<VmId> movable = source.vms();
   size_t moved = 0;
   for (VmId vm_id : movable) {
     if (moved >= max_moves) {

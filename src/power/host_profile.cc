@@ -1,6 +1,8 @@
 #include "src/power/host_profile.h"
 
+#include <cerrno>
 #include <cstdlib>
+#include <limits>
 
 namespace oasis {
 namespace {
@@ -119,8 +121,10 @@ StatusOr<FleetMix> ParseFleetMix(const std::string& spec) {
     segment.generation = entry.substr(0, colon);
     const std::string count = entry.substr(colon + 1);
     char* end = nullptr;
+    errno = 0;
     const long parsed = std::strtol(count.c_str(), &end, 10);
-    if (end == count.c_str() || *end != '\0' || parsed <= 0) {
+    if (end == count.c_str() || *end != '\0' || errno == ERANGE || parsed <= 0 ||
+        parsed > std::numeric_limits<int>::max()) {
       return Status::InvalidArgument("fleet entry '" + entry +
                                      "' has a malformed count");
     }

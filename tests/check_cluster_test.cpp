@@ -57,7 +57,7 @@ class CheckClusterTest : public ::testing::Test {
     for (size_t v = 0; v < manager.num_vms(); ++v) {
       const VmSlot& vm = manager.GetVm(static_cast<VmId>(v));
       ASSERT_LT(vm.location, manager.num_hosts()) << "vm " << v;
-      EXPECT_TRUE(manager.GetHost(vm.location).vms().count(vm.id))
+      EXPECT_TRUE(manager.GetHost(vm.location).HasVm(vm.id))
           << "vm " << v << " not resident where its slot points";
     }
   }

@@ -130,6 +130,14 @@ TEST(ParseFleetMixTest, RejectsMalformedSpecs) {
     StatusOr<FleetMix> mix = ParseFleetMix(bad);
     EXPECT_FALSE(mix.ok()) << "accepted \"" << bad << "\"";
   }
+  // Counts beyond int (or long) are malformed, not silently truncated.
+  for (const char* huge :
+       {"table1:4294967297", "table1:2147483648", "table1:99999999999999999999"}) {
+    StatusOr<FleetMix> mix = ParseFleetMix(huge);
+    ASSERT_FALSE(mix.ok()) << "accepted \"" << huge << "\"";
+    EXPECT_NE(mix.status().message().find("malformed count"), std::string::npos)
+        << mix.status().ToString();
+  }
 }
 
 // --- ClusterConfig resolution -----------------------------------------------

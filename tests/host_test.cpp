@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
+#include "src/common/rng.h"
+
 namespace oasis {
 namespace {
 
@@ -144,6 +149,55 @@ TEST(ClusterHostTest, VmResidencyRaisesDraw) {
   }
   // Saturated at the 20-VM figure: 137.9 W.
   EXPECT_NEAR(ToWattHours(host.HostEnergy(SimTime::Hours(1))), 137.9, 0.01);
+}
+
+TEST(ClusterHostTest, ResidentSetStaysAscendingUnderRandomChurn) {
+  // The resident set is a sorted vector standing in for std::set: any
+  // sequence of valid adds and removes must leave it strictly ascending and
+  // equal to a reference set, since planner walks draw in this order.
+  for (uint64_t seed : {1u, 7u, 42u}) {
+    Rng rng(seed);
+    ClusterHost host(0, HostRole::kConsolidation, TestConfig(), true);
+    std::set<VmId> reference;
+    for (int step = 0; step < 2000; ++step) {
+      VmId vm = static_cast<VmId>(rng.NextBelow(64));
+      if (reference.count(vm) != 0) {
+        host.RemoveVm(SimTime::Zero(), vm);
+        reference.erase(vm);
+      } else {
+        host.AddVm(SimTime::Zero(), vm);
+        reference.insert(vm);
+      }
+      ASSERT_EQ(host.HasVm(vm), reference.count(vm) != 0) << "seed " << seed;
+    }
+    const std::vector<VmId>& vms = host.vms();
+    for (size_t i = 1; i < vms.size(); ++i) {
+      EXPECT_LT(vms[i - 1], vms[i]) << "seed " << seed;
+    }
+    EXPECT_EQ(vms, std::vector<VmId>(reference.begin(), reference.end())) << "seed " << seed;
+    EXPECT_EQ(host.HasVms(), !reference.empty());
+  }
+}
+
+// The resident-set contract is an assert. The build strips NDEBUG from its
+// optimized build types; a build that still defines it skips these tests.
+TEST(ClusterHostDeathTest, DoubleAddAsserts) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "assertions compiled out";
+#endif
+  ClusterHost host(0, HostRole::kHome, TestConfig(), true);
+  host.AddVm(SimTime::Zero(), 3);
+  EXPECT_DEATH(host.AddVm(SimTime::Zero(), 3), "already resident");
+}
+
+TEST(ClusterHostDeathTest, RemovingAnAbsentVmAsserts) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "assertions compiled out";
+#endif
+  ClusterHost host(0, HostRole::kHome, TestConfig(), true);
+  host.AddVm(SimTime::Zero(), 3);
+  EXPECT_DEATH(host.RemoveVm(SimTime::Zero(), 4), "not resident");
+  EXPECT_DEATH(host.RemoveVm(SimTime::Zero(), 9), "not resident");
 }
 
 TEST(ClusterHostTest, SleepEnergyIncludesTransitionSpike) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "src/check/check.h"
 #include "src/trace/trace_generator.h"
 
 namespace oasis {
@@ -154,7 +157,7 @@ TEST(ManagerTest, VmLocationMatchesHostMembership) {
   for (size_t v = 0; v < manager.num_vms(); ++v) {
     const VmSlot& vm = manager.GetVm(static_cast<VmId>(v));
     const ClusterHost& host = manager.GetHost(vm.location);
-    EXPECT_TRUE(host.vms().count(vm.id)) << "vm " << v << " not on host " << vm.location;
+    EXPECT_TRUE(host.HasVm(vm.id)) << "vm " << v << " not on host " << vm.location;
   }
 }
 
@@ -193,6 +196,36 @@ TEST(ManagerTest, TimelineHasOneSnapshotPerInterval) {
     EXPECT_LE(s.active_vms, config.TotalVms());
     EXPECT_LE(s.powered_hosts, config.TotalHosts());
     EXPECT_GE(s.powered_hosts, 0);
+  }
+}
+
+TEST(ManagerTest, SnapshotActiveCountFollowsTraceAtEveryPlanningInterval) {
+  // Planning off the trace's 5-minute grid: each snapshot's active count
+  // must equal the VMs whose trace bit is set at that tick's interval,
+  // recounted here from the trace alone. Fewer users than VMs makes the
+  // VM -> user mapping wrap mid-table.
+  for (double minutes : {1.0, 7.0, 10.0}) {
+    ClusterConfig config = SmallCluster(ConsolidationPolicy::kFullToPartial);
+    config.planning_interval = SimTime::Minutes(minutes);
+    TraceGenerator gen(TraceGeneratorConfig{}, 29);
+    TraceSet trace = gen.GenerateTraceSet(config.TotalVms() - 3, DayKind::kWeekday);
+    check::InvariantChecker checker(check::CheckMode::kWarn);
+    check::InvariantChecker::Install(&checker);
+    ClusterMetrics m = ClusterManager(config, trace).Run();
+    check::InvariantChecker::Install(nullptr);
+    EXPECT_EQ(checker.violation_count(), 0u) << minutes << " min";
+    EXPECT_GT(checker.checks_run(), 0u) << minutes << " min";
+    ASSERT_EQ(m.timeline.size(),
+              static_cast<size_t>(SimTime::Hours(24.0) / config.planning_interval));
+    for (const IntervalSnapshot& s : m.timeline) {
+      int interval = std::min(kIntervalsPerDay - 1,
+                              static_cast<int>(s.time.seconds()) / kTraceIntervalSeconds);
+      int expected = 0;
+      for (int v = 0; v < config.TotalVms(); ++v) {
+        expected += trace[static_cast<size_t>(v) % trace.size()].IsActive(interval) ? 1 : 0;
+      }
+      EXPECT_EQ(s.active_vms, expected) << minutes << " min, t=" << s.time.seconds() << " s";
+    }
   }
 }
 
