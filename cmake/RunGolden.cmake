@@ -38,8 +38,7 @@ execute_process(
           --unset=OASIS_SEED --unset=OASIS_TRACE --unset=OASIS_METRICS
           --unset=OASIS_TRACE_CAPACITY --unset=OASIS_LOG_LEVEL
           --unset=OASIS_CSV_DIR --unset=OASIS_FUZZ_TRIALS
-          --unset=OASIS_DC_RACKS --unset=OASIS_FORECAST_WINDOW
-          --unset=OASIS_FLEET
+          --unset=OASIS_DC_RACKS --unset=OASIS_FLEET
           OASIS_BENCH_RUNS=2 OASIS_JOBS=2 "OASIS_BENCH_JSON=${WORK}/${name}.json"
           ${EXTRA_ENV}
           "${BINARY}"

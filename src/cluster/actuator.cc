@@ -724,8 +724,6 @@ void Actuator::ApplyScheduledFault(SimTime now, const ScheduledFault& event) {
       InjectMigrationAbort(now, event.target);
       return;
     case FaultClass::kWolLoss:
-    case FaultClass::kRpcDrop:
-    case FaultClass::kRpcDelay:
     case FaultClass::kResumeHang:
       // Query-sampled classes cannot be time-scheduled: there is no pending
       // operation at an arbitrary instant to attach them to.

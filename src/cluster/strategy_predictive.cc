@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <vector>
 
 #include "src/cluster/actuator.h"
@@ -14,6 +11,9 @@
 namespace oasis {
 namespace {
 
+// How many 5-minute intervals ahead the pre-drain/pre-wake passes look
+// (30 minutes).
+constexpr int kForecastWindow = 6;
 // Forecast floor below which the lookahead window counts as "the trough is
 // coming" (the weekday night floor is ~1–3% active; the working day never
 // dips near this).
@@ -57,26 +57,8 @@ double ObservedActiveFraction(const ClusterView& view) {
 
 }  // namespace
 
-int ForecastWindowFromEnv() {
-  const char* env = std::getenv("OASIS_FORECAST_WINDOW");
-  if (env == nullptr || *env == '\0') {
-    return 6;
-  }
-  char* end = nullptr;
-  long value = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0' || value < 1 || value > kIntervalsPerDay) {
-    std::fprintf(stderr,
-                 "bad OASIS_FORECAST_WINDOW \"%s\" (accepted: an integer number of "
-                 "5-minute intervals in [1, %d])\n",
-                 env, kIntervalsPerDay);
-    std::exit(2);
-  }
-  return static_cast<int>(value);
-}
-
-PredictiveStrategy::PredictiveStrategy(int forecast_window)
-    : window_(forecast_window),
-      hist_(EstimateDiurnalPrior(TraceGeneratorConfig{}, DayKind::kWeekday, kPriorUsers,
+PredictiveStrategy::PredictiveStrategy()
+    : hist_(EstimateDiurnalPrior(TraceGeneratorConfig{}, DayKind::kWeekday, kPriorUsers,
                                  kPriorSeed)) {}
 
 double PredictiveStrategy::Forecast(int slot) const {
@@ -107,7 +89,7 @@ PlanActions PredictiveStrategy::PlanInterval(const ClusterView& view, SimTime no
 void PredictiveStrategy::PreDrainPass(const ClusterView& view, SimTime now, Actuator& act,
                                       PlanActions& actions, int slot) {
   double floor = 1.0;
-  for (int k = 1; k <= window_; ++k) {
+  for (int k = 1; k <= kForecastWindow; ++k) {
     floor = std::min(floor, Forecast(slot + k));
   }
   if (floor >= kDrainForecastThreshold) {
@@ -167,7 +149,7 @@ void PredictiveStrategy::PreDrainPass(const ClusterView& view, SimTime now, Actu
 void PredictiveStrategy::PreWakePass(const ClusterView& view, SimTime now, Actuator& act,
                                      PlanActions& actions, int slot, double observed) {
   double peak = 0.0;
-  for (int k = 1; k <= window_; ++k) {
+  for (int k = 1; k <= kForecastWindow; ++k) {
     peak = std::max(peak, Forecast(slot + k));
   }
   double rise = peak - observed;

@@ -1,6 +1,9 @@
 #include "src/exp/exp.h"
 
 #include <algorithm>
+#include <cerrno>
+#include <climits>
+#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <thread>
@@ -46,14 +49,17 @@ int HardwareJobs() {
 
 int JobsFromEnv() {
   const char* env = std::getenv("OASIS_JOBS");
-  if (env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    long value = std::strtol(env, &end, 10);
-    if (end != nullptr && *end == '\0' && value > 0) {
-      return static_cast<int>(value);
-    }
+  if (env == nullptr || *env == '\0') {
+    return HardwareJobs();
   }
-  return HardwareJobs();
+  char* end = nullptr;
+  errno = 0;
+  long value = std::strtol(env, &end, 10);
+  if (end == nullptr || *end != '\0' || errno == ERANGE || value <= 0 || value > INT_MAX) {
+    std::fprintf(stderr, "OASIS_JOBS=%s is not a positive integer (worker count)\n", env);
+    std::exit(2);
+  }
+  return static_cast<int>(value);
 }
 
 int EffectiveWorkers(int jobs, size_t run_count) {

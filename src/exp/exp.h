@@ -73,7 +73,10 @@ class ExperimentPlan {
 // std::thread::hardware_concurrency(), at least 1.
 int HardwareJobs();
 
-// OASIS_JOBS when set to a positive integer, else HardwareJobs().
+// OASIS_JOBS when set, else HardwareJobs(). A value that is not a positive
+// integer within int range (non-digits, trailing junk, <= 0, overflow) is a
+// configuration error: it prints the value to stderr and exits with status 2
+// rather than silently falling back to every core.
 int JobsFromEnv();
 
 // The worker count RunParallel actually uses when asked for `jobs` over

@@ -12,28 +12,29 @@ namespace {
 // Tracer names must be string literals (they outlive the call), so the
 // class-indexed tables below replace string concatenation on the hot path.
 constexpr const char* kClassNames[kNumFaultClasses] = {
-    "host_crash", "wol_loss",        "rpc_drop",   "rpc_delay",
-    "ms_failure", "migration_abort", "resume_hang"};
+    "host_crash", "wol_loss", "ms_failure", "migration_abort", "resume_hang"};
 
 constexpr const char* kInjectNames[kNumFaultClasses] = {
-    "inject.host_crash", "inject.wol_loss",        "inject.rpc_drop",
-    "inject.rpc_delay",  "inject.ms_failure",      "inject.migration_abort",
-    "inject.resume_hang"};
+    "inject.host_crash", "inject.wol_loss", "inject.ms_failure",
+    "inject.migration_abort", "inject.resume_hang"};
 
 constexpr const char* kRecoverNames[kNumFaultClasses] = {
-    "recover.host_crash", "recover.wol_loss",        "recover.rpc_drop",
-    "recover.rpc_delay",  "recover.ms_failure",      "recover.migration_abort",
-    "recover.resume_hang"};
+    "recover.host_crash", "recover.wol_loss", "recover.ms_failure",
+    "recover.migration_abort", "recover.resume_hang"};
 
 // Distinct stream salts per class: the plan streams sample firing times, the
 // query streams drive per-operation Bernoulli draws. Deriving both from the
 // run seed with golden-ratio multiples keeps classes decorrelated while the
-// whole schedule stays a pure function of (config, seed).
+// whole schedule stays a pure function of (config, seed). Each class keeps a
+// fixed multiplier rather than its enum index + 1, so a seed's fault schedule
+// does not move when classes are added or removed (3 and 4 are unused).
+constexpr uint64_t kSaltMultiplier[kNumFaultClasses] = {1, 2, 5, 6, 7};
+
 uint64_t PlanSalt(int c) {
-  return 0x9E3779B97F4A7C15ull * static_cast<uint64_t>(c + 1);
+  return 0x9E3779B97F4A7C15ull * kSaltMultiplier[c];
 }
 uint64_t QuerySalt(int c) {
-  return 0xC2B2AE3D27D4EB4Full * static_cast<uint64_t>(c + 1);
+  return 0xC2B2AE3D27D4EB4Full * kSaltMultiplier[c];
 }
 
 void SamplePoisson(FaultClass fault, double per_hour, SimTime horizon, uint64_t seed,
@@ -65,8 +66,7 @@ const char* FaultClassName(FaultClass fault) {
 }
 
 Status FaultConfig::Validate() const {
-  for (double p : {wol_loss_probability, resume_hang_probability, rpc_drop_probability,
-                   rpc_delay_probability, serve_failure_probability}) {
+  for (double p : {wol_loss_probability, resume_hang_probability, serve_failure_probability}) {
     if (p < 0.0 || p > 1.0) {
       return Status::InvalidArgument("fault probability outside [0,1]");
     }
@@ -77,12 +77,11 @@ Status FaultConfig::Validate() const {
       return Status::InvalidArgument("fault rate must be non-negative");
     }
   }
-  if (max_wol_retries < 1 || max_rpc_attempts < 1) {
-    return Status::InvalidArgument("retry limits must be at least 1");
+  if (max_wol_retries < 1) {
+    return Status::InvalidArgument("max_wol_retries must be at least 1");
   }
-  if (wol_retry_timeout <= SimTime::Zero() || rpc_backoff_initial <= SimTime::Zero() ||
-      rpc_backoff_cap < rpc_backoff_initial) {
-    return Status::InvalidArgument("invalid retry/backoff timings");
+  if (wol_retry_timeout <= SimTime::Zero()) {
+    return Status::InvalidArgument("wol_retry_timeout must be positive");
   }
   return Status::Ok();
 }
@@ -92,8 +91,6 @@ FaultConfig FaultConfig::ChaosDay() {
   config.enabled = true;
   config.wol_loss_probability = 0.10;
   config.resume_hang_probability = 0.05;
-  config.rpc_drop_probability = 0.02;
-  config.rpc_delay_probability = 0.05;
   config.serve_failure_probability = 0.0;  // opt-in; fails the whole server
   config.host_crash_per_hour = 0.25;
   config.memory_server_failure_per_hour = 0.5;
@@ -174,28 +171,6 @@ bool FaultInjector::SampleResumeHang(SimTime now, int64_t host) {
     return false;
   }
   RecordInjected(FaultClass::kResumeHang, now, obs::TraceArgs{host});
-  return true;
-}
-
-bool FaultInjector::SampleRpcDrop(SimTime now) {
-  if (!enabled() || config_.rpc_drop_probability <= 0.0) {
-    return false;
-  }
-  if (!StreamFor(FaultClass::kRpcDrop).NextBool(config_.rpc_drop_probability)) {
-    return false;
-  }
-  RecordInjected(FaultClass::kRpcDrop, now);
-  return true;
-}
-
-bool FaultInjector::SampleRpcDelay(SimTime now) {
-  if (!enabled() || config_.rpc_delay_probability <= 0.0) {
-    return false;
-  }
-  if (!StreamFor(FaultClass::kRpcDelay).NextBool(config_.rpc_delay_probability)) {
-    return false;
-  }
-  RecordInjected(FaultClass::kRpcDelay, now);
   return true;
 }
 

@@ -171,8 +171,10 @@ TEST_F(MetamorphicTest, DefaultStrategyReproducesTheLegacyManagerDigest) {
   // actuator): the "oasis-greedy" strategy must reproduce the pre-refactor
   // monolithic ClusterManager byte for byte. The constant below is the
   // digest of SmallCluster(2016) captured against the last monolithic
-  // build; it must hold at any parallelism.
-  constexpr uint64_t kLegacyDigest = 0xb99c15c8663b6673ull;
+  // build; it must hold at any parallelism. It was re-pinned once, when two
+  // always-zero fault classes left the digested per-class arrays: folding six
+  // zeros after class 1 reproduces the original 0xb99c15c8663b6673.
+  constexpr uint64_t kLegacyDigest = 0x7c7c4089f1521f33ull;
   SimulationConfig config = SmallCluster(2016);
   config.cluster.strategy_name = kDefaultStrategyName;  // explicit == default
   exp::ExperimentPlan plan;

@@ -11,9 +11,7 @@
 //     consolidation can only lose energy — and a strategy that declares the
 //     opposite really does migrate there (the trait is honest);
 //   * every strategy is jobs-invariant: the same repetitions fold to the
-//     same digests at OASIS_JOBS 1 and 4;
-//   * the predictive strategy's forecast-window knob fails loudly (exit 2)
-//     on malformed input, mirroring OASIS_POLICY.
+//     same digests at OASIS_JOBS 1 and 4.
 //
 // The suite iterates RegisteredStrategyNames() so a newly registered
 // strategy is conformance-tested by construction, with zero edits here.
@@ -28,7 +26,6 @@
 
 #include "src/check/check.h"
 #include "src/cluster/manager.h"
-#include "src/cluster/strategy_predictive.h"
 #include "src/common/rng.h"
 #include "src/core/oasis.h"
 #include "src/exp/exp.h"
@@ -253,28 +250,6 @@ TEST_F(StrategyConformanceTest, RepetitionsAreJobsInvariant) {
     };
     EXPECT_EQ(digests_at(1), digests_at(4)) << name << " is not jobs-invariant";
   }
-}
-
-// --- the forecast-window knob -----------------------------------------------
-
-TEST(ForecastWindowDeathTest, MalformedWindowExitsWithStatusTwo) {
-  // Mirrors OASIS_POLICY: a malformed value is a fatal
-  // configuration error, not a silent default.
-  for (const char* bad : {"banana", "0", "-3", "999", "6x", ""}) {
-    if (*bad == '\0') {
-      continue;  // empty means "use the default", tested below
-    }
-    setenv("OASIS_FORECAST_WINDOW", bad, 1);
-    EXPECT_EXIT(ForecastWindowFromEnv(), ::testing::ExitedWithCode(2),
-                "OASIS_FORECAST_WINDOW") << "value: " << bad;
-  }
-  unsetenv("OASIS_FORECAST_WINDOW");
-  EXPECT_EQ(ForecastWindowFromEnv(), 6);
-  setenv("OASIS_FORECAST_WINDOW", "12", 1);
-  EXPECT_EQ(ForecastWindowFromEnv(), 12);
-  setenv("OASIS_FORECAST_WINDOW", "", 1);
-  EXPECT_EQ(ForecastWindowFromEnv(), 6);
-  unsetenv("OASIS_FORECAST_WINDOW");
 }
 
 }  // namespace

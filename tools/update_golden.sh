@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # Regenerates the golden files pinned by the `ctest -L golden` suite
 # (quickstart, fig07, fig08, table3, perf_sweep, datacenter_day,
-# ablation_policy, heterogeneous_fleet, ablation_planning_interval) from the
-# binaries in a build tree:
+# ablation_policy, heterogeneous_fleet, ablation_planning_interval, chaos_day)
+# from the binaries in a build tree:
 #
 #   tools/update_golden.sh [build_dir]     # default build dir: ./build
 #
@@ -43,5 +43,6 @@ update datacenter_day bench/datacenter_day OASIS_DC_RACKS=8
 update ablation_policy bench/ablation_policy
 update heterogeneous_fleet bench/heterogeneous_fleet
 update ablation_planning_interval bench/ablation_planning_interval
+update chaos_day bench/chaos_day
 
 echo "update_golden: done - review 'git diff tests/golden/' before committing"
