@@ -24,6 +24,7 @@
 //                                 strict: like warn, but the process exits
 //                                 with status 2 once the scope closes if any
 //                                 violation was recorded.
+//                                 Any other value exits with status 2.
 //
 // Violations are triple-reported: a structured stderr line at record time,
 // an obs instant event (category "check") plus "check.violations" counter
@@ -59,6 +60,9 @@ const char* CheckModeName(CheckMode mode);
 
 // Exit status a strict CheckScope uses when violations were recorded.
 inline constexpr int kStrictExitCode = 2;
+// Exit status used when OASIS_CHECK names an unknown mode (the OASIS_PROF /
+// OASIS_POLICY convention).
+inline constexpr int kBadModeExitCode = 2;
 
 struct CheckConfig {
   CheckMode mode = CheckMode::kOff;
@@ -66,7 +70,9 @@ struct CheckConfig {
   bool Enabled() const { return mode != CheckMode::kOff; }
 
   // Parses OASIS_CHECK ("", "0", "off" -> off; "1", "on", "warn" -> warn;
-  // "2", "strict" -> strict; anything else warns on stderr and means warn).
+  // "2", "strict" -> strict). Any other value prints the accepted spellings
+  // to stderr and exits with kBadModeExitCode, so a typo cannot turn a
+  // strict run into a warn run that passes with violations.
   static CheckConfig FromEnv();
 };
 
@@ -94,10 +100,11 @@ class InvariantChecker {
   void Report(const char* invariant, SimTime at, std::string detail,
               obs::TraceArgs args = {});
 
-  // The bulk-accounting entry point for instrumentation sites: counts
-  // `checks` executed assertions and reports when `ok` is false. Hot paths
-  // that run per event skip the counting overload and call Report directly
-  // on failure.
+  // The entry point for single-check instrumentation sites: counts one
+  // executed assertion on the shared atomic and reports when `ok` is false.
+  // `detail` is only invoked on failure, so the message costs nothing on the
+  // passing path. Loops that run thousands of checks back to back use a
+  // Tally instead; CountChecks adds a batch counted elsewhere.
   template <typename DetailFn>
   void Expect(bool ok, const char* invariant, SimTime at, DetailFn&& detail,
               obs::TraceArgs args = {}) {
@@ -112,6 +119,44 @@ class InvariantChecker {
   void CountChecks(uint64_t checks) {
     checks_run_.fetch_add(checks, std::memory_order_relaxed);
   }
+
+  // Walk-local counting for a loop of checks (the cluster conservation walk
+  // runs ~8.5k per planning interval): each Expect bumps a plain integer,
+  // and the total reaches checks_run with one CountChecks when the tally is
+  // destroyed, instead of one shared atomic add per check that every
+  // parallel shard would contend on. A failure is reported at once through
+  // Report, with the same id, detail and args as InvariantChecker::Expect.
+  // The rule-census flag is read once, at construction. One tally per walk:
+  // a tally is not shared between threads.
+  class Tally {
+   public:
+    explicit Tally(InvariantChecker& checker)
+        : checker_(checker),
+          track_rules_(checker.track_rules_.load(std::memory_order_relaxed)) {}
+    ~Tally() { checker_.CountChecks(checks_); }
+    Tally(const Tally&) = delete;
+    Tally& operator=(const Tally&) = delete;
+
+    template <typename DetailFn>
+    void Expect(bool ok, const char* invariant, SimTime at, DetailFn&& detail,
+                obs::TraceArgs args = {}) {
+      ++checks_;
+      if (track_rules_) {
+        checker_.NoteEvaluated(invariant);
+      }
+      if (!ok) {
+        checker_.Report(invariant, at, detail(), args);
+      }
+    }
+
+    // Checks counted so far and not yet added to checks_run.
+    uint64_t checks() const { return checks_; }
+
+   private:
+    InvariantChecker& checker_;
+    const bool track_rules_;
+    uint64_t checks_ = 0;
+  };
 
   uint64_t checks_run() const { return checks_run_.load(std::memory_order_relaxed); }
   uint64_t violation_count() const {

@@ -31,6 +31,10 @@ void CheckClusterInvariants(const ClusterManager& manager, SimTime now,
   const ClusterConfig& config = manager.config();
   const size_t num_hosts = manager.num_hosts();
   const size_t num_vms = manager.num_vms();
+  // The walk runs 9 checks per VM and 12 per host every planning interval;
+  // the tally counts them locally and adds the total to the shared counter
+  // once, when the walk returns.
+  check::InvariantChecker::Tally tally(checker);
 
   // One pass over the VM table derives every per-host sum the walk compares
   // against: each home's full reservation for its own VMs, and from-scratch
@@ -65,21 +69,21 @@ void CheckClusterInvariants(const ClusterManager& manager, SimTime now,
     int active_here = 0;
     uint64_t reserved_expected = 0;
     for (VmId vid : host.vms()) {
-      checker.Expect(static_cast<size_t>(vid) < num_vms, "cluster.vm_id_in_range", now,
-                     [&] { return "host set names unknown VM " + std::to_string(vid); },
-                     obs::TraceArgs{H(host.id()), V(vid)});
+      tally.Expect(static_cast<size_t>(vid) < num_vms, "cluster.vm_id_in_range", now,
+                   [&] { return "host set names unknown VM " + std::to_string(vid); },
+                   obs::TraceArgs{H(host.id()), V(vid)});
       if (static_cast<size_t>(vid) >= num_vms) {
         continue;
       }
       ++residencies[vid];
       const VmSlot& vm = manager.GetVm(vid);
-      checker.Expect(vm.location == host.id(), "cluster.location_matches_residency", now,
-                     [&] {
-                       return "VM " + std::to_string(vid) + " resident on host " +
-                              std::to_string(host.id()) + " but location says " +
-                              std::to_string(vm.location);
-                     },
-                     obs::TraceArgs{H(host.id()), V(vid)});
+      tally.Expect(vm.location == host.id(), "cluster.location_matches_residency", now,
+                   [&] {
+                     return "VM " + std::to_string(vid) + " resident on host " +
+                            std::to_string(host.id()) + " but location says " +
+                            std::to_string(vm.location);
+                   },
+                   obs::TraceArgs{H(host.id()), V(vid)});
       if (vm.activity == VmActivity::kActive) {
         ++active_here;
       }
@@ -93,49 +97,49 @@ void CheckClusterInvariants(const ClusterManager& manager, SimTime now,
     if (host.IsHomeHost()) {
       reserved_expected += home_full_bytes[h];
     }
-    checker.Expect(host.active_vms() == active_here, "cluster.active_count_balanced", now,
-                   [&] {
-                     return "host " + std::to_string(host.id()) + " counts " +
-                            std::to_string(host.active_vms()) + " active VMs, walk found " +
-                            std::to_string(active_here);
-                   },
-                   obs::TraceArgs{H(host.id())});
-    checker.Expect(host.reserved_bytes() == reserved_expected,
-                   "cluster.reservation_conservation", now,
-                   [&] {
-                     return "host " + std::to_string(host.id()) + " reserves " +
-                            std::to_string(host.reserved_bytes()) +
-                            " B but resident footprints sum to " +
-                            std::to_string(reserved_expected) + " B";
-                   },
-                   obs::TraceArgs{H(host.id()), -1,
-                                  static_cast<int64_t>(host.reserved_bytes())});
-    checker.Expect(host.reserved_bytes() <= host.capacity_bytes(),
-                   "cluster.capacity_respected", now,
-                   [&] {
-                     return "host " + std::to_string(host.id()) + " reserves " +
-                            std::to_string(host.reserved_bytes()) + " B of " +
-                            std::to_string(host.capacity_bytes()) + " B capacity";
-                   },
-                   obs::TraceArgs{H(host.id())});
-    checker.Expect(!host.memory_server_powered() || host.IsHomeHost(),
-                   "cluster.memory_server_on_homes_only", now,
-                   [&] {
-                     return "consolidation host " + std::to_string(host.id()) +
-                            " has a powered memory server";
-                   },
-                   obs::TraceArgs{H(host.id())});
+    tally.Expect(host.active_vms() == active_here, "cluster.active_count_balanced", now,
+                 [&] {
+                   return "host " + std::to_string(host.id()) + " counts " +
+                          std::to_string(host.active_vms()) + " active VMs, walk found " +
+                          std::to_string(active_here);
+                 },
+                 obs::TraceArgs{H(host.id())});
+    tally.Expect(host.reserved_bytes() == reserved_expected,
+                 "cluster.reservation_conservation", now,
+                 [&] {
+                   return "host " + std::to_string(host.id()) + " reserves " +
+                          std::to_string(host.reserved_bytes()) +
+                          " B but resident footprints sum to " +
+                          std::to_string(reserved_expected) + " B";
+                 },
+                 obs::TraceArgs{H(host.id()), -1,
+                                static_cast<int64_t>(host.reserved_bytes())});
+    tally.Expect(host.reserved_bytes() <= host.capacity_bytes(),
+                 "cluster.capacity_respected", now,
+                 [&] {
+                   return "host " + std::to_string(host.id()) + " reserves " +
+                          std::to_string(host.reserved_bytes()) + " B of " +
+                          std::to_string(host.capacity_bytes()) + " B capacity";
+                 },
+                 obs::TraceArgs{H(host.id())});
+    tally.Expect(!host.memory_server_powered() || host.IsHomeHost(),
+                 "cluster.memory_server_on_homes_only", now,
+                 [&] {
+                   return "consolidation host " + std::to_string(host.id()) +
+                          " has a powered memory server";
+                 },
+                 obs::TraceArgs{H(host.id())});
 
     // --- time and energy accounting ----------------------------------------
     // The per-state ledger must cover the run to the microsecond (integer
     // arithmetic, so exactly)...
-    checker.Expect(host.ledger().TotalTimeAt(now) == now, "power.ledger_covers_run", now,
-                   [&] {
-                     return "host " + std::to_string(host.id()) + " ledger covers " +
-                            std::to_string(host.ledger().TotalTimeAt(now).micros()) +
-                            " us of " + std::to_string(now.micros()) + " us";
-                   },
-                   obs::TraceArgs{H(host.id())});
+    tally.Expect(host.ledger().TotalTimeAt(now) == now, "power.ledger_covers_run", now,
+                 [&] {
+                   return "host " + std::to_string(host.id()) + " ledger covers " +
+                          std::to_string(host.ledger().TotalTimeAt(now).micros()) +
+                          " us of " + std::to_string(now.micros()) + " us";
+                 },
+                 obs::TraceArgs{H(host.id())});
     // ...and the meter's integral must sit inside the envelope the power
     // model allows for that state mix: powered draw is bounded by the idle
     // and 20-VM measurements, the transition and sleep states are fixed
@@ -150,36 +154,36 @@ void CheckClusterInvariants(const ClusterManager& manager, SimTime now,
     // An S3-incapable host must never have spent a microsecond suspending —
     // the transition itself also reports (power.s3_on_incapable_host), this
     // walk catches any path that skipped Transition's gate.
-    checker.Expect(host.s3_capable() || suspend_s == 0.0,
-                   "power.s3_on_incapable_host", now,
-                   [&] {
-                     return "host " + std::to_string(host.id()) +
-                            " is s3_capable=false but spent " +
-                            std::to_string(suspend_s) + " s in kSuspending";
-                   },
-                   obs::TraceArgs{H(host.id())});
+    tally.Expect(host.s3_capable() || suspend_s == 0.0,
+                 "power.s3_on_incapable_host", now,
+                 [&] {
+                   return "host " + std::to_string(host.id()) +
+                          " is s3_capable=false but spent " +
+                          std::to_string(suspend_s) + " s in kSuspending";
+                 },
+                 obs::TraceArgs{H(host.id())});
     double fixed = suspend_s * p.suspend_watts + resume_s * p.resume_watts +
                    sleep_s * p.sleep_watts;
     double lo = fixed + powered_s * p.idle_watts;
     double hi = fixed + powered_s * p.watts_at_20_vms;
     double host_energy = host.HostEnergyAt(now);
-    checker.Expect(WithinEnvelope(host_energy, lo, hi), "power.energy_within_model", now,
-                   [&] {
-                     return "host " + std::to_string(host.id()) + " energy " +
-                            std::to_string(host_energy) + " J outside the model envelope [" +
-                            std::to_string(lo) + ", " + std::to_string(hi) + "] J";
-                   },
-                   obs::TraceArgs{H(host.id())});
+    tally.Expect(WithinEnvelope(host_energy, lo, hi), "power.energy_within_model", now,
+                 [&] {
+                   return "host " + std::to_string(host.id()) + " energy " +
+                          std::to_string(host_energy) + " J outside the model envelope [" +
+                          std::to_string(lo) + ", " + std::to_string(hi) + "] J";
+                 },
+                 obs::TraceArgs{H(host.id())});
     double ms_hi = config.memory_server_power.TotalWatts() * now.seconds();
     double ms_energy = host.MemoryServerEnergyAt(now);
-    checker.Expect(WithinEnvelope(ms_energy, 0.0, ms_hi), "power.ms_energy_within_model",
-                   now,
-                   [&] {
-                     return "host " + std::to_string(host.id()) + " memory server energy " +
-                            std::to_string(ms_energy) + " J outside [0, " +
-                            std::to_string(ms_hi) + "] J";
-                   },
-                   obs::TraceArgs{H(host.id())});
+    tally.Expect(WithinEnvelope(ms_energy, 0.0, ms_hi), "power.ms_energy_within_model",
+                 now,
+                 [&] {
+                   return "host " + std::to_string(host.id()) + " memory server energy " +
+                          std::to_string(ms_energy) + " J outside [0, " +
+                          std::to_string(ms_hi) + "] J";
+                 },
+                 obs::TraceArgs{H(host.id())});
   }
 
   // --- maintained aggregates ------------------------------------------------
@@ -192,13 +196,13 @@ void CheckClusterInvariants(const ClusterManager& manager, SimTime now,
                             const std::vector<int>& maintained,
                             const std::vector<int>& derived) {
       for (size_t h = 0; h < num_hosts; ++h) {
-        checker.Expect(maintained[h] == derived[h], invariant, now,
-                       [&] {
-                         return "host " + std::to_string(h) + " " + what + " counter says " +
-                                std::to_string(maintained[h]) + ", walk found " +
-                                std::to_string(derived[h]);
-                       },
-                       obs::TraceArgs{static_cast<int64_t>(h), -1, maintained[h]});
+        tally.Expect(maintained[h] == derived[h], invariant, now,
+                     [&] {
+                       return "host " + std::to_string(h) + " " + what + " counter says " +
+                              std::to_string(maintained[h]) + ", walk found " +
+                              std::to_string(derived[h]);
+                     },
+                     obs::TraceArgs{static_cast<int64_t>(h), -1, maintained[h]});
       }
     };
     expect_exact("cluster.partials_homed_counter_exact", "partials-homed",
@@ -215,20 +219,20 @@ void CheckClusterInvariants(const ClusterManager& manager, SimTime now,
   for (size_t v = 0; v < num_vms; ++v) {
     VmId vid = static_cast<VmId>(v);
     const VmSlot& vm = manager.GetVm(vid);
-    checker.Expect(residencies[v] == 1, "cluster.vm_on_exactly_one_host", now,
-                   [&] {
-                     return "VM " + std::to_string(vid) + " resident on " +
-                            std::to_string(residencies[v]) + " hosts";
-                   },
-                   obs::TraceArgs{H(vm.location), V(vid)});
-    checker.Expect(static_cast<size_t>(vm.home) < num_hosts &&
-                       manager.GetHost(vm.home).IsHomeHost(),
-                   "cluster.home_is_home", now,
-                   [&] {
-                     return "VM " + std::to_string(vid) + " homed at non-home host " +
-                            std::to_string(vm.home);
-                   },
-                   obs::TraceArgs{H(vm.home), V(vid)});
+    tally.Expect(residencies[v] == 1, "cluster.vm_on_exactly_one_host", now,
+                 [&] {
+                   return "VM " + std::to_string(vid) + " resident on " +
+                          std::to_string(residencies[v]) + " hosts";
+                 },
+                 obs::TraceArgs{H(vm.location), V(vid)});
+    tally.Expect(static_cast<size_t>(vm.home) < num_hosts &&
+                     manager.GetHost(vm.home).IsHomeHost(),
+                 "cluster.home_is_home", now,
+                 [&] {
+                   return "VM " + std::to_string(vid) + " homed at non-home host " +
+                          std::to_string(vm.home);
+                 },
+                 obs::TraceArgs{H(vm.home), V(vid)});
     bool location_legal = true;
     switch (vm.residency) {
       case VmResidency::kFullAtHome:
@@ -240,48 +244,48 @@ void CheckClusterInvariants(const ClusterManager& manager, SimTime now,
                          manager.GetHost(vm.location).IsConsolidationHost();
         break;
     }
-    checker.Expect(location_legal, "cluster.residency_location_consistent", now,
-                   [&] {
-                     return "VM " + std::to_string(vid) + " residency/location mismatch: "
-                            "home=" + std::to_string(vm.home) +
-                            " location=" + std::to_string(vm.location);
-                   },
-                   obs::TraceArgs{H(vm.location), V(vid)});
-    checker.Expect(vm.ws_unfetched <= vm.ws_bytes, "cluster.ws_fetch_conservation", now,
-                   [&] {
-                     return "VM " + std::to_string(vid) + " has " +
-                            std::to_string(vm.ws_unfetched) + " B unfetched of a " +
-                            std::to_string(vm.ws_bytes) + " B working set";
-                   },
-                   obs::TraceArgs{H(vm.location), V(vid),
-                                  static_cast<int64_t>(vm.ws_unfetched)});
-    checker.Expect(vm.residency == VmResidency::kPartial ||
-                       (vm.ws_bytes == 0 && vm.ws_unfetched == 0 && vm.dirty_bytes == 0),
-                   "cluster.full_vm_carries_no_partial_state", now,
-                   [&] {
-                     return "full VM " + std::to_string(vid) + " still carries ws=" +
-                            std::to_string(vm.ws_bytes) + " B unfetched=" +
-                            std::to_string(vm.ws_unfetched) + " B dirty=" +
-                            std::to_string(vm.dirty_bytes) + " B";
-                   },
-                   obs::TraceArgs{H(vm.location), V(vid)});
-    checker.Expect(vm.dirty_bytes <= config.volumes.dirty_cap_bytes,
-                   "cluster.dirty_within_cap", now,
-                   [&] {
-                     return "VM " + std::to_string(vid) + " dirtied " +
-                            std::to_string(vm.dirty_bytes) + " B past the cap of " +
-                            std::to_string(config.volumes.dirty_cap_bytes) + " B";
-                   },
-                   obs::TraceArgs{H(vm.location), V(vid),
-                                  static_cast<int64_t>(vm.dirty_bytes)});
-    checker.Expect(vm.migration_in_flight == (vm.pending_op != VmSlot::PendingOp::kNone),
-                   "cluster.migration_bookkeeping_paired", now,
-                   [&] {
-                     return "VM " + std::to_string(vid) + " migration_in_flight=" +
-                            (vm.migration_in_flight ? "true" : "false") +
-                            " disagrees with pending_op";
-                   },
-                   obs::TraceArgs{H(vm.location), V(vid)});
+    tally.Expect(location_legal, "cluster.residency_location_consistent", now,
+                 [&] {
+                   return "VM " + std::to_string(vid) + " residency/location mismatch: "
+                          "home=" + std::to_string(vm.home) +
+                          " location=" + std::to_string(vm.location);
+                 },
+                 obs::TraceArgs{H(vm.location), V(vid)});
+    tally.Expect(vm.ws_unfetched <= vm.ws_bytes, "cluster.ws_fetch_conservation", now,
+                 [&] {
+                   return "VM " + std::to_string(vid) + " has " +
+                          std::to_string(vm.ws_unfetched) + " B unfetched of a " +
+                          std::to_string(vm.ws_bytes) + " B working set";
+                 },
+                 obs::TraceArgs{H(vm.location), V(vid),
+                                static_cast<int64_t>(vm.ws_unfetched)});
+    tally.Expect(vm.residency == VmResidency::kPartial ||
+                     (vm.ws_bytes == 0 && vm.ws_unfetched == 0 && vm.dirty_bytes == 0),
+                 "cluster.full_vm_carries_no_partial_state", now,
+                 [&] {
+                   return "full VM " + std::to_string(vid) + " still carries ws=" +
+                          std::to_string(vm.ws_bytes) + " B unfetched=" +
+                          std::to_string(vm.ws_unfetched) + " B dirty=" +
+                          std::to_string(vm.dirty_bytes) + " B";
+                 },
+                 obs::TraceArgs{H(vm.location), V(vid)});
+    tally.Expect(vm.dirty_bytes <= config.volumes.dirty_cap_bytes,
+                 "cluster.dirty_within_cap", now,
+                 [&] {
+                   return "VM " + std::to_string(vid) + " dirtied " +
+                          std::to_string(vm.dirty_bytes) + " B past the cap of " +
+                          std::to_string(config.volumes.dirty_cap_bytes) + " B";
+                 },
+                 obs::TraceArgs{H(vm.location), V(vid),
+                                static_cast<int64_t>(vm.dirty_bytes)});
+    tally.Expect(vm.migration_in_flight == (vm.pending_op != VmSlot::PendingOp::kNone),
+                 "cluster.migration_bookkeeping_paired", now,
+                 [&] {
+                   return "VM " + std::to_string(vid) + " migration_in_flight=" +
+                          (vm.migration_in_flight ? "true" : "false") +
+                          " disagrees with pending_op";
+                 },
+                 obs::TraceArgs{H(vm.location), V(vid)});
   }
 }
 

@@ -10,6 +10,7 @@
 #include "src/cluster/invariants.h"
 #include "src/common/log.h"
 #include "src/obs/metrics.h"
+#include "src/obs/prof.h"
 #include "src/obs/trace.h"
 
 namespace oasis {
@@ -109,6 +110,7 @@ ClusterMetrics ClusterManager::Run() {
   sim_.RunUntil(end);
   act_.AccrueEnergy(end);
   if (check::InvariantChecker* c = check::InvariantChecker::IfEnabled()) {
+    prof::ProfScope walk_scope(prof::Phase::kCheckWalk);
     CheckClusterInvariants(*this, end, *c);
   }
   metrics_.baseline_energy = BaselineEnergy(config_, trace_);
@@ -172,6 +174,7 @@ void ClusterManager::OnInterval(SimTime now, int interval) {
   if (check::InvariantChecker* c = check::InvariantChecker::IfEnabled()) {
     // The conservation walk runs after every planning round, so a violation
     // is reported within one interval of the step that introduced it.
+    prof::ProfScope walk_scope(prof::Phase::kCheckWalk);
     CheckClusterInvariants(*this, now, *c);
   }
   // All the work above happens at one simulated instant; the round still

@@ -26,6 +26,7 @@ constexpr PhaseInfo kPhaseInfo[kNumPhases] = {
     {"obs.run_context_ctor", false}, {"pool.task_wait", false},
     {"pool.task_run", true},       {"pool.idle", true},
     {"sim.heap_pop", false},       {"sim.dispatch", false},
+    {"check.walk", false},
 };
 
 // Order must match enum Count.

@@ -91,6 +91,7 @@ enum class Phase : int {
   kPoolIdle,         // worker parked with nothing to run
   kSimHeapPop,       // event-queue pop (heap op)        [per event]
   kSimDispatch,      // event closure execution          [per event]
+  kCheckWalk,        // one cluster invariant walk (checker installed only)
   kPhaseCount,
 };
 inline constexpr int kNumPhases = static_cast<int>(Phase::kPhaseCount);

@@ -97,9 +97,17 @@ TEST_F(CheckClusterTest, CrashMidPartialMigrationReintegratesWithoutPageLoss) {
   // working-set accounting for every host and VM (the per-interval walks
   // already ran inside Run() via the installed checker).
   ExpectNoVmLostOrDuplicated(manager);
+  // One walk on a consistent cluster runs exactly 9 checks per VM and 12 per
+  // host (636 on SmallCluster's 60 VMs and 8 hosts):
+  //   per VM:   2 in the host loop over its one residency (id in range,
+  //             location matches) + 7 per-VM state-machine rules;
+  //   per host: 8 per-host rules (active count, reservation, capacity,
+  //             memory server, ledger coverage, S3 gate, two energy
+  //             envelopes) + 4 recounts of the maintained aggregates.
+  // A walk-local tally that drops or double-counts fails here.
   uint64_t before = checker_.checks_run();
   CheckClusterInvariants(manager, SimTime::Hours(24.0), checker_);
-  EXPECT_GT(checker_.checks_run(), before) << "conservation walk ran no checks";
+  EXPECT_EQ(checker_.checks_run() - before, 9 * manager.num_vms() + 12 * manager.num_hosts());
 }
 
 TEST_F(CheckClusterTest, ScheduledMigrationAbortsRollBackCleanly) {

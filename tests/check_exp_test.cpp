@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -115,6 +117,33 @@ TEST(CheckExpTest, ConcurrentReportsAreCountedExactly) {
   EXPECT_EQ(checker.checks_run(), static_cast<uint64_t>(kThreads * kPerThread));
   EXPECT_EQ(checker.violation_count(), static_cast<uint64_t>(kThreads * kPerThread / 2));
   EXPECT_EQ(checker.violations().size(), InvariantChecker::kMaxStoredViolations);
+}
+
+TEST(CheckExpTest, ConcurrentTalliesAreCountedExactly) {
+  // Parallel shards each run their own walk: one tally per thread, all
+  // adding into the one shared checker when they go out of scope.
+  InvariantChecker checker(CheckMode::kWarn);
+  checker.TrackEvaluatedRules();
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 500;
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&checker, t] {
+      InvariantChecker::Tally tally(checker);
+      for (int i = 0; i < kPerThread; ++i) {
+        tally.Expect(i % 2 == 0, "test.concurrent_tally", SimTime::Micros(t * kPerThread + i),
+                     [] { return "odd"; });
+      }
+    });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  EXPECT_EQ(checker.checks_run(), static_cast<uint64_t>(kThreads * kPerThread));
+  EXPECT_EQ(checker.violation_count(), static_cast<uint64_t>(kThreads * kPerThread / 2));
+  EXPECT_EQ(checker.violations().size(), InvariantChecker::kMaxStoredViolations);
+  EXPECT_EQ(checker.EvaluatedRules(), std::set<std::string>{"test.concurrent_tally"});
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // The wall-clock profiler's contract: percentile math is honest within the
 // log-linear bucket error, OASIS_PROF parsing matches the OASIS_CHECK
 // conventions (unknown modes exit 2), profiling provably never perturbs
-// simulation results, and the per-thread buffers survive a real parallel
-// run at jobs=4 with a self-consistent report.
+// simulation results, the per-thread buffers survive a real parallel
+// run at jobs=4 with a self-consistent report, and the check.walk layer
+// times every invariant walk and nothing else.
 
 #include "src/obs/prof.h"
 
@@ -11,8 +12,10 @@
 #include <algorithm>
 #include <cstdlib>
 #include <sstream>
+#include <string>
 #include <vector>
 
+#include "src/check/check.h"
 #include "src/exp/exp.h"
 #include "src/obs/metrics.h"
 #include "tests/metric_digest.h"
@@ -251,6 +254,49 @@ TEST(ProfParallelTest, CollectAfterJobs4IsSelfConsistent) {
   // reset=true opened a fresh window: nothing left to collect.
   Report empty = Profiler::Instance().Collect(/*reset=*/false);
   EXPECT_FALSE(empty.HasSamples());
+}
+
+// --- invariant-walk layer -------------------------------------------------------
+
+// Count of `phase` in a collected report, 0 when the phase recorded nothing
+// (Collect omits empty phases).
+uint64_t PhaseCount(const Report& report, Phase phase) {
+  for (const PhaseStats& p : report.phases) {
+    if (std::string(p.name) == PhaseName(phase)) {
+      return p.count;
+    }
+  }
+  return 0;
+}
+
+TEST(ProfCheckWalkTest, CheckedDayTimesEveryWalkAndUncheckedDayNone) {
+  ProfilerGuard profiler_guard;
+  EXPECT_STREQ(PhaseName(Phase::kCheckWalk), "check.walk");
+  EXPECT_FALSE(PhaseIsTimeline(Phase::kCheckWalk));
+  const SimulationConfig config = SmallCluster();
+  exp::ExperimentPlan plan;
+  plan.Add(config);
+
+  // Checked: one walk after every planning round plus one at end of run.
+  check::InvariantChecker checker(check::CheckMode::kWarn);
+  check::InvariantChecker::Install(&checker);
+  Profiler::Instance().SetMode(ProfMode::kSummary);
+  (void)exp::RunParallel(plan, 1);
+  Profiler::Instance().SetMode(ProfMode::kOff);
+  check::InvariantChecker::Install(nullptr);
+  Report checked = Profiler::Instance().Collect(/*reset=*/true);
+  const uint64_t planning_rounds =
+      static_cast<uint64_t>(SimTime::Hours(24.0) / config.cluster.planning_interval);
+  EXPECT_EQ(PhaseCount(checked, Phase::kCheckWalk), planning_rounds + 1);
+  EXPECT_EQ(checker.violation_count(), 0u);
+
+  // Unchecked: the walk never runs, so the phase is absent from the report.
+  Profiler::Instance().SetMode(ProfMode::kSummary);
+  (void)exp::RunParallel(plan, 1);
+  Profiler::Instance().SetMode(ProfMode::kOff);
+  Report unchecked = Profiler::Instance().Collect(/*reset=*/true);
+  EXPECT_TRUE(unchecked.HasSamples());
+  EXPECT_EQ(PhaseCount(unchecked, Phase::kCheckWalk), 0u);
 }
 
 // --- report wiring ------------------------------------------------------------
