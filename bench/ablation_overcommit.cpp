@@ -14,24 +14,22 @@
 #include "src/common/table.h"
 #include "src/exp/exp.h"
 #include "src/mem/dedup.h"
-#include "src/check/check.h"
-#include "src/obs/obs.h"
 
 namespace oasis {
 namespace {
 
-void ClusterOvercommitSweep(int runs) {
+void ClusterOvercommitSweep(const RunOptions& options, int runs) {
   std::printf("\nCluster savings vs over-commit factor (FulltoPartial, 30+4, weekday):\n");
   const double factors[] = {1.0, 1.25, 1.5};
   exp::ExperimentPlan plan;
   std::vector<exp::RepetitionSpan> spans;
   for (double factor : factors) {
     SimulationConfig config =
-        PaperCluster(ConsolidationPolicy::kFullToPartial, 4, DayKind::kWeekday);
+        PaperCluster(options, ConsolidationPolicy::kFullToPartial, 4, DayKind::kWeekday);
     config.cluster.memory_overcommit = factor;
     spans.push_back(plan.AddRepetitions(config, runs));
   }
-  std::vector<SimulationResult> results = exp::RunParallel(plan);
+  std::vector<SimulationResult> results = exp::RunParallel(plan, options.jobs);
 
   TextTable table({"over-commit", "weekday savings", "median VMs/consolidation host"});
   size_t datapoint = 0;
@@ -70,21 +68,17 @@ void MemoryServerDedup() {
               "headroom behind the 1.5x over-commit assumption.\n");
 }
 
-}  // namespace
-}  // namespace oasis
-
-int main() {
-  // Honour OASIS_TRACE / OASIS_METRICS / OASIS_LOG_LEVEL for this run.
-  // Invariant checking per OASIS_CHECK (off | warn | strict); declared
-  // before ObsScope so traces flush before any strict exit.
-  oasis::check::CheckScope check_scope;
-  oasis::obs::ObsScope obs_scope;
-  using namespace oasis;
-  int runs = std::max(1, BenchRuns() - 2);
+int Run(const RunOptions& options, int, char**) {
+  int runs = std::max(1, options.bench_runs - 2);
   PrintExperimentHeader(std::cout, "Ablation - memory over-commitment and dedup",
                         "Section 3 assumption 1: ballooning/de-duplication allow ~1.5x "
                         "memory over-commit; consolidation is memory-bound.");
-  ClusterOvercommitSweep(runs);
+  ClusterOvercommitSweep(options, runs);
   MemoryServerDedup();
   return 0;
 }
+
+}  // namespace
+}  // namespace oasis
+
+int main(int argc, char** argv) { return oasis::RunMain(argc, argv, oasis::Run); }

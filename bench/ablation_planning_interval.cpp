@@ -14,17 +14,12 @@
 #include "bench/bench_util.h"
 #include "src/common/table.h"
 #include "src/exp/exp.h"
-#include "src/check/check.h"
-#include "src/obs/obs.h"
 
-int main() {
-  // Honour OASIS_TRACE / OASIS_METRICS / OASIS_LOG_LEVEL for this run.
-  // Invariant checking per OASIS_CHECK (off | warn | strict); declared
-  // before ObsScope so traces flush before any strict exit.
-  oasis::check::CheckScope check_scope;
-  oasis::obs::ObsScope obs_scope;
-  using namespace oasis;
-  int runs = std::max(1, BenchRuns() - 2);
+namespace oasis {
+namespace {
+
+int Run(const RunOptions& options, int, char**) {
+  int runs = std::max(1, options.bench_runs - 2);
   PrintExperimentHeader(std::cout, "Ablation - planning interval length",
                         "FulltoPartial, 30+4 cluster, weekday; the paper fixes this knob "
                         "at the trace's 5-minute resolution.");
@@ -34,13 +29,13 @@ int main() {
   std::vector<exp::RepetitionSpan> spans;
   for (double minutes : interval_minutes) {
     SimulationConfig config =
-        PaperCluster(ConsolidationPolicy::kFullToPartial, 4, DayKind::kWeekday);
+        PaperCluster(options, ConsolidationPolicy::kFullToPartial, 4, DayKind::kWeekday);
     config.cluster.planning_interval = SimTime::Minutes(minutes);
     // Keep the idleness-detection window at ~10 minutes of wall clock.
     config.cluster.idle_smoothing_intervals = std::max(1, static_cast<int>(10.0 / minutes));
     spans.push_back(plan.AddRepetitions(config, runs));
   }
-  std::vector<SimulationResult> results = exp::RunParallel(plan);
+  std::vector<SimulationResult> results = exp::RunParallel(plan, options.jobs);
 
   TextTable table({"interval", "weekday savings", "partial migrations", "host wakes",
                    "p99 delay (s)"});
@@ -61,3 +56,8 @@ int main() {
               "savings on this workload.\n");
   return 0;
 }
+
+}  // namespace
+}  // namespace oasis
+
+int main(int argc, char** argv) { return oasis::RunMain(argc, argv, oasis::Run); }

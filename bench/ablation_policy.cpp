@@ -25,12 +25,10 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/check/check.h"
 #include "src/cluster/oracle.h"
 #include "src/cluster/strategy.h"
 #include "src/common/table.h"
 #include "src/exp/exp.h"
-#include "src/obs/obs.h"
 
 namespace oasis {
 namespace {
@@ -60,11 +58,10 @@ uint64_t CombineDigests(const std::vector<OracleResult>& oracle) {
 // "policy_gaps" member, replacing any previous splice. perf_sweep owns the
 // file and writes it whole; this bench only appends one member before the
 // closing brace (or creates a minimal object if run standalone).
-void SpliceBenchJson(const std::vector<std::string>& names,
+void SpliceBenchJson(const std::string& path, const std::vector<std::string>& names,
                      const std::vector<double>& gaps, double oracle_savings,
                      uint64_t digest) {
-  const char* path = std::getenv("OASIS_BENCH_JSON");
-  if (path == nullptr || *path == '\0') {
+  if (path.empty()) {
     return;
   }
   std::string content;
@@ -104,7 +101,7 @@ void SpliceBenchJson(const std::vector<std::string>& names,
   out << content;
 }
 
-void PolicySweep(int runs) {
+void PolicySweep(const RunOptions& options, int runs) {
   const std::vector<std::string>& names = RegisteredStrategyNames();
   exp::ExperimentPlan plan;
   std::vector<exp::RepetitionSpan> spans;
@@ -112,14 +109,14 @@ void PolicySweep(int runs) {
   ClusterConfig oracle_cluster;
   for (const std::string& name : names) {
     SimulationConfig config =
-        PaperCluster(ConsolidationPolicy::kFullToPartial, 4, DayKind::kWeekday);
+        PaperCluster(options, ConsolidationPolicy::kFullToPartial, 4, DayKind::kWeekday);
     // Per-row assignment after PaperCluster so it wins over OASIS_POLICY.
     config.cluster.strategy_name = name;
     base_seed = config.seed;
     oracle_cluster = config.cluster;
     spans.push_back(plan.AddRepetitions(config, runs));
   }
-  std::vector<SimulationResult> results = exp::RunParallel(plan);
+  std::vector<SimulationResult> results = exp::RunParallel(plan, options.jobs);
 
   // One oracle solve per repetition. Repetition r's day is identical across
   // strategy rows (same derived seed, same trace), so row 0's traces stand
@@ -176,23 +173,20 @@ void PolicySweep(int runs) {
       "trough and pre-waking ahead of the peak. \"gap vs oracle\" is each online\n"
       "strategy's extra energy over the offline oracle's whole-day schedule on\n"
       "the same completed day (0%% = matched perfect hindsight).\n");
-  SpliceBenchJson(names, mean_gap, oracle_savings, digest);
+  SpliceBenchJson(options.bench_json, names, mean_gap, oracle_savings, digest);
 }
 
-}  // namespace
-}  // namespace oasis
-
-int main() {
-  // Invariant checking per OASIS_CHECK (off | warn | strict); declared
-  // before ObsScope so traces flush before any strict exit.
-  oasis::check::CheckScope check_scope;
-  oasis::obs::ObsScope obs_scope;
-  using namespace oasis;
+int Run(const RunOptions& options, int, char**) {
   PrintExperimentHeader(std::cout, "Ablation - consolidation strategy",
                         "The pluggable policy layer: the paper's greedy planner vs "
                         "first-fit-decreasing packing vs purely local thresholds vs "
                         "the predictive forecaster on the standard 30+4 weekday "
                         "rack, each measured against the offline oracle bound.");
-  PolicySweep(std::max(1, BenchRuns() - 2));
+  PolicySweep(options, std::max(1, options.bench_runs - 2));
   return 0;
 }
+
+}  // namespace
+}  // namespace oasis
+
+int main(int argc, char** argv) { return oasis::RunMain(argc, argv, oasis::Run); }

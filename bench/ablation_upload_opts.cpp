@@ -10,8 +10,7 @@
 #include "src/hyper/memtap.h"
 #include "src/hyper/migration_model.h"
 #include "src/hyper/workloads.h"
-#include "src/check/check.h"
-#include "src/obs/obs.h"
+#include "src/run/run_options.h"
 
 namespace oasis {
 namespace {
@@ -31,16 +30,7 @@ double UploadSeconds(uint64_t bytes) {
   return static_cast<double>(bytes) / kSasBytesPerSec;
 }
 
-}  // namespace
-}  // namespace oasis
-
-int main() {
-  // Honour OASIS_TRACE / OASIS_METRICS / OASIS_LOG_LEVEL for this run.
-  // Invariant checking per OASIS_CHECK (off | warn | strict); declared
-  // before ObsScope so traces flush before any strict exit.
-  oasis::check::CheckScope check_scope;
-  oasis::obs::ObsScope obs_scope;
-  using namespace oasis;
+int Run(const RunOptions& options, int, char**) {
   PrintExperimentHeader(std::cout, "Ablation - memory upload optimizations (section 4.3)",
                         "Contribution of per-page compression and differential upload to "
                         "partial-migration latency, plus the chunk cache's effect on "
@@ -49,8 +39,7 @@ int main() {
   MigrationModel model;
 
   // --- First upload: with and without compression -------------------------
-  uint64_t vm_seed = 1;
-  obs::ApplySeedOverride(&vm_seed);
+  const uint64_t vm_seed = options.seed.value_or(1);
   Vm vm1 = PrimedVm(vm_seed);
   PartialMigrationPlan first = model.ExecutePartialMigration(vm1, /*differential=*/false);
   double compressed_s = UploadSeconds(first.upload_bytes_compressed);
@@ -106,3 +95,8 @@ int main() {
   }
   return 0;
 }
+
+}  // namespace
+}  // namespace oasis
+
+int main(int argc, char** argv) { return oasis::RunMain(argc, argv, oasis::Run); }

@@ -3,55 +3,40 @@
 #ifndef OASIS_BENCH_BENCH_UTIL_H_
 #define OASIS_BENCH_BENCH_UTIL_H_
 
-#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <string>
 
-#include "src/cluster/strategy.h"
 #include "src/core/oasis.h"
-#include "src/obs/obs.h"
+#include "src/run/run_options.h"
 
 namespace oasis {
 
 // The paper's standard rack: 30 home hosts x 30 VMs plus N consolidation
-// hosts (§5.1).
-inline SimulationConfig PaperCluster(ConsolidationPolicy policy, int consolidation_hosts,
-                                     DayKind day) {
+// hosts (§5.1), under OASIS_SEED and OASIS_POLICY. Per-experiment
+// strategy_name assignments made afterwards still win (the ablation harness
+// relies on that).
+inline SimulationConfig PaperCluster(const RunOptions& options, ConsolidationPolicy policy,
+                                     int consolidation_hosts, DayKind day) {
   SimulationConfig config;
   config.cluster.num_home_hosts = 30;
   config.cluster.num_consolidation_hosts = consolidation_hosts;
   config.cluster.vms_per_home = 30;
   config.cluster.policy = policy;
+  config.cluster.strategy_name = options.policy.value_or(config.cluster.strategy_name);
   config.day = day;
-  config.seed = 20160418;  // EuroSys'16 opening day
-  obs::ApplySeedOverride(&config.seed);
-  // Honour OASIS_POLICY; per-experiment strategy_name assignments made
-  // after this call still win (the ablation harness relies on that).
-  ApplyPolicyOverride(&config.cluster);
+  config.seed = options.seed.value_or(20160418);  // EuroSys'16 opening day
   return config;
-}
-
-// Number of repetitions per datapoint (§5.3 averages five runs). Override
-// with OASIS_BENCH_RUNS for quicker smoke runs.
-inline int BenchRuns() {
-  if (const char* env = std::getenv("OASIS_BENCH_RUNS")) {
-    int n = std::atoi(env);
-    if (n > 0) {
-      return n;
-    }
-  }
-  return 5;
 }
 
 // When OASIS_CSV_DIR is set, benches also write their data series as
 // <dir>/<name>.csv for external plotting. Returns nullptr otherwise.
-inline std::unique_ptr<std::ofstream> CsvFileFor(const std::string& name) {
-  const char* dir = std::getenv("OASIS_CSV_DIR");
-  if (dir == nullptr || *dir == '\0') {
+inline std::unique_ptr<std::ofstream> CsvFileFor(const RunOptions& options,
+                                                 const std::string& name) {
+  if (options.csv_dir.empty()) {
     return nullptr;
   }
-  auto file = std::make_unique<std::ofstream>(std::string(dir) + "/" + name + ".csv");
+  auto file = std::make_unique<std::ofstream>(options.csv_dir + "/" + name + ".csv");
   if (!*file) {
     return nullptr;
   }

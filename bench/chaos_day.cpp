@@ -17,24 +17,19 @@
 #include "src/common/table.h"
 #include "src/exp/exp.h"
 #include "src/fault/fault.h"
-#include "src/check/check.h"
-#include "src/obs/obs.h"
 #include "src/trace/trace_generator.h"
 
-int main() {
-  // Honour OASIS_TRACE / OASIS_METRICS / OASIS_LOG_LEVEL for this run.
-  // Invariant checking per OASIS_CHECK (off | warn | strict); declared
-  // before ObsScope so traces flush before any strict exit.
-  oasis::check::CheckScope check_scope;
-  oasis::obs::ObsScope obs_scope;
-  using namespace oasis;
+namespace oasis {
+namespace {
+
+int Run(const RunOptions& options, int, char**) {
   PrintExperimentHeader(std::cout, "Chaos day - failure injection and recovery",
                         "One simulated day of the 30+4 rack under ChaosDay fault rates "
                         "vs a fault-free control run with the same seed. Every injected "
                         "fault must pair with a completed recovery.");
 
-  SimulationConfig config = PaperCluster(ConsolidationPolicy::kFullToPartial, 4,
-                                         DayKind::kWeekday);
+  SimulationConfig config =
+      PaperCluster(options, ConsolidationPolicy::kFullToPartial, 4, DayKind::kWeekday);
   TraceGenerator generator(config.trace, config.seed ^ 0x7ACEBA5Eull);
   TraceSet trace = generator.GenerateTraceSet(config.cluster.TotalVms(), config.day);
 
@@ -49,7 +44,7 @@ int main() {
   exp::ExperimentPlan plan;
   plan.Add(control_config);
   plan.Add(chaos_config);
-  std::vector<SimulationResult> results = exp::RunParallel(plan);
+  std::vector<SimulationResult> results = exp::RunParallel(plan, options.jobs);
   const ClusterMetrics& control_metrics = results[0].metrics;
   const ClusterMetrics& chaos_metrics = results[1].metrics;
 
@@ -88,3 +83,8 @@ int main() {
                   : "MISMATCH - a fault was left unrecovered");
   return chaos_metrics.faults_injected == chaos_metrics.faults_recovered ? 0 : 1;
 }
+
+}  // namespace
+}  // namespace oasis
+
+int main(int argc, char** argv) { return oasis::RunMain(argc, argv, oasis::Run); }

@@ -32,22 +32,20 @@
 #include <string>
 
 #include "bench/bench_util.h"
-#include "src/check/check.h"
 #include "src/common/table.h"
 #include "src/dc/coordinator.h"
 #include "src/dc/ledger.h"
 #include "src/dc/runner.h"
 #include "src/dc/topology.h"
 #include "src/obs/obs.h"
-#include "src/obs/prof.h"
 
 namespace oasis {
 namespace dc {
 namespace {
 
-DatacenterConfig DayConfig() {
+DatacenterConfig DayConfig(const RunOptions& options) {
   DatacenterConfig config;
-  config.total_racks = 256;
+  config.total_racks = options.dc_racks.value_or(256);
   config.racks_per_pod = 32;
   config.rack.home_hosts = 36;
   config.rack.consolidation_hosts = 4;
@@ -61,15 +59,8 @@ DatacenterConfig DayConfig() {
   // 4 racks per day) and refuses to sponsor load into a capped rack.
   config.coordinator.rack_power_cap_watts = 3200.0;
   config.coordinator.cap_events_per_rack_day = 0.25;
-  config.seed = 20160418;  // EuroSys'16 opening day
-  obs::ApplySeedOverride(&config.seed);
-  ApplyDatacenterEnvOverrides(&config);
-  // Honour OASIS_POLICY for the rack-local planner, with the usual exit-2
-  // rejection of unregistered names.
-  ClusterConfig policy_probe;
-  policy_probe.strategy_name = config.rack.strategy_name;
-  ApplyPolicyOverride(&policy_probe);
-  config.rack.strategy_name = policy_probe.strategy_name;
+  config.seed = options.seed.value_or(20160418);  // EuroSys'16 opening day
+  config.rack.strategy_name = options.policy.value_or(config.rack.strategy_name);
   return config;
 }
 
@@ -79,8 +70,12 @@ CoordinatorStats RunMode(const DatacenterRun& run, CoordinatorMode mode) {
   return GlobalCoordinator(config).Coordinate(run);
 }
 
-int DatacenterDay() {
-  DatacenterConfig config = DayConfig();
+int Run(const RunOptions& options, int, char**) {
+  PrintExperimentHeader(std::cout, "Datacenter day - sharded hierarchical simulation",
+                        "Pods of self-contained consolidation racks executed as parallel "
+                        "deterministic shards, with a global drain tier coordinating only "
+                        "between racks.");
+  DatacenterConfig config = DayConfig(options);
   StatusOr<DatacenterTopology> topology = DatacenterTopology::Build(config);
   if (!topology.ok()) {
     std::fprintf(stderr, "invalid datacenter config: %s\n",
@@ -96,7 +91,7 @@ int DatacenterDay() {
               config.rack.consolidation_hosts, config.rack.strategy_name.c_str(),
               ConsolidationPolicyName(config.rack.policy));
 
-  ShardRunner runner;
+  ShardRunner runner(options.jobs);
   obs::TimingLine("simulating %d rack shards at jobs=%d ...", config.total_racks,
                   runner.jobs());
   DatacenterRun run = runner.Run(*topology);
@@ -161,16 +156,4 @@ int DatacenterDay() {
 }  // namespace dc
 }  // namespace oasis
 
-int main() {
-  // Invariant checking per OASIS_CHECK; declared before ObsScope so traces
-  // flush before any strict exit. Wall-clock profiling per OASIS_PROF.
-  oasis::check::CheckScope check_scope;
-  oasis::obs::ObsScope obs_scope;
-  oasis::prof::ProfSession prof_session;
-  oasis::PrintExperimentHeader(
-      std::cout, "Datacenter day - sharded hierarchical simulation",
-      "Pods of self-contained consolidation racks executed as parallel "
-      "deterministic shards, with a global drain tier coordinating only "
-      "between racks.");
-  return oasis::dc::DatacenterDay();
-}
+int main(int argc, char** argv) { return oasis::RunMain(argc, argv, oasis::dc::Run); }

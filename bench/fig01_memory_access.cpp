@@ -8,16 +8,12 @@
 
 #include "src/common/table.h"
 #include "src/mem/access_generator.h"
-#include "src/check/check.h"
-#include "src/obs/obs.h"
+#include "src/run/run_options.h"
 
-int main() {
-  // Honour OASIS_TRACE / OASIS_METRICS / OASIS_LOG_LEVEL for this run.
-  // Invariant checking per OASIS_CHECK (off | warn | strict); declared
-  // before ObsScope so traces flush before any strict exit.
-  oasis::check::CheckScope check_scope;
-  oasis::obs::ObsScope obs_scope;
-  using namespace oasis;
+namespace oasis {
+namespace {
+
+int Run(const RunOptions&, int, char**) {
   PrintExperimentHeader(std::cout, "Figure 1 - Memory access pattern of idle VMs",
                         "Cumulative unique MiB touched while idle (4 GiB allocation).");
 
@@ -44,3 +40,8 @@ int main() {
               ToMiB(db.CumulativeUniqueBytes(hour)));
   return 0;
 }
+
+}  // namespace
+}  // namespace oasis
+
+int main(int argc, char** argv) { return oasis::RunMain(argc, argv, oasis::Run); }

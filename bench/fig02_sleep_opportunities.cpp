@@ -12,16 +12,12 @@
 #include "src/common/table.h"
 #include "src/mem/access_generator.h"
 #include "src/power/power_model.h"
-#include "src/check/check.h"
-#include "src/obs/obs.h"
+#include "src/run/run_options.h"
 
-int main() {
-  // Honour OASIS_TRACE / OASIS_METRICS / OASIS_LOG_LEVEL for this run.
-  // Invariant checking per OASIS_CHECK (off | warn | strict); declared
-  // before ObsScope so traces flush before any strict exit.
-  oasis::check::CheckScope check_scope;
-  oasis::obs::ObsScope obs_scope;
-  using namespace oasis;
+namespace oasis {
+namespace {
+
+int Run(const RunOptions&, int, char**) {
   PrintExperimentHeader(
       std::cout, "Figure 2 - Sleep opportunities with 1 VM vs 10 VMs",
       "Host wakes per page-request burst; S3 suspend 3.1 s, resume 2.3 s, 10 s linger.");
@@ -87,3 +83,8 @@ int main() {
   sweep.Print(std::cout);
   return 0;
 }
+
+}  // namespace
+}  // namespace oasis
+
+int main(int argc, char** argv) { return oasis::RunMain(argc, argv, oasis::Run); }

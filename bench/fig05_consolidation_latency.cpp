@@ -20,8 +20,7 @@
 #include "src/hyper/memtap.h"
 #include "src/hyper/migration_model.h"
 #include "src/hyper/workloads.h"
-#include "src/check/check.h"
-#include "src/obs/obs.h"
+#include "src/run/run_options.h"
 
 namespace oasis {
 namespace {
@@ -92,26 +91,16 @@ RunResult OneRun(uint64_t seed) {
   return r;
 }
 
-}  // namespace
-}  // namespace oasis
-
-int main() {
-  // Honour OASIS_TRACE / OASIS_METRICS / OASIS_LOG_LEVEL for this run.
-  // Invariant checking per OASIS_CHECK (off | warn | strict); declared
-  // before ObsScope so traces flush before any strict exit.
-  oasis::check::CheckScope check_scope;
-  oasis::obs::ObsScope obs_scope;
-  using namespace oasis;
+int Run(const RunOptions& options, int, char**) {
   PrintExperimentHeader(std::cout, "Figure 5 - Consolidation latencies for one VM",
                         "Average of 3 runs, 4 GiB desktop VM, GigE testbed + SAS memory "
                         "server (paper: full 41 s, partial 15.7 s / 7.2 s, reint 3.7 s).");
 
   OnlineStats full, p1, u1, p2, u2, ri, desc, od, rim;
   uint64_t seeds[] = {11u, 22u, 33u};
-  uint64_t base = seeds[0];
-  if (obs::ApplySeedOverride(&base)) {
+  if (options.seed) {
     for (size_t i = 0; i < 3; ++i) {
-      seeds[i] = base + i;
+      seeds[i] = *options.seed + i;
     }
   }
   for (uint64_t seed : seeds) {
@@ -150,3 +139,8 @@ int main() {
               "allocations dirty pages without ever faulting them in (section 4.4.3).\n");
   return 0;
 }
+
+}  // namespace
+}  // namespace oasis
+
+int main(int argc, char** argv) { return oasis::RunMain(argc, argv, oasis::Run); }

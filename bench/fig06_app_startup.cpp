@@ -14,16 +14,12 @@
 #include "src/hyper/memtap.h"
 #include "src/hyper/migration_model.h"
 #include "src/hyper/workloads.h"
-#include "src/check/check.h"
-#include "src/obs/obs.h"
+#include "src/run/run_options.h"
 
-int main() {
-  // Honour OASIS_TRACE / OASIS_METRICS / OASIS_LOG_LEVEL for this run.
-  // Invariant checking per OASIS_CHECK (off | warn | strict); declared
-  // before ObsScope so traces flush before any strict exit.
-  oasis::check::CheckScope check_scope;
-  oasis::obs::ObsScope obs_scope;
-  using namespace oasis;
+namespace oasis {
+namespace {
+
+int Run(const RunOptions&, int, char**) {
   PrintExperimentHeader(std::cout, "Figure 6 - Application start-up latency",
                         "Full VM vs partial VM (demand paging through the memory server).");
 
@@ -57,3 +53,8 @@ int main() {
               prefetch);
   return 0;
 }
+
+}  // namespace
+}  // namespace oasis
+
+int main(int argc, char** argv) { return oasis::RunMain(argc, argv, oasis::Run); }

@@ -13,16 +13,15 @@
 #include "src/common/csv.h"
 #include "src/common/table.h"
 #include "src/exp/exp.h"
-#include "src/check/check.h"
-#include "src/obs/obs.h"
 
 namespace oasis {
 namespace {
 
-void PrintDay(DayKind day, const SimulationConfig& config, const SimulationResult& result) {
+void PrintDay(const RunOptions& options, DayKind day, const SimulationConfig& config,
+              const SimulationResult& result) {
   const auto& timeline = result.metrics.timeline;
 
-  if (auto file = CsvFileFor(std::string("fig07_") + DayKindName(day))) {
+  if (auto file = CsvFileFor(options, std::string("fig07_") + DayKindName(day))) {
     CsvWriter csv(*file, {"hour", "active_vms", "powered_hosts", "powered_homes",
                           "powered_consolidation", "partial_vms"});
     for (const IntervalSnapshot& s : timeline) {
@@ -61,33 +60,29 @@ void PrintDay(DayKind day, const SimulationConfig& config, const SimulationResul
               timeline[peak_i].time.ToClockString().c_str(), min_powered);
 }
 
-}  // namespace
-}  // namespace oasis
-
-int main() {
-  // Honour OASIS_TRACE / OASIS_METRICS / OASIS_LOG_LEVEL for this run.
-  // Invariant checking per OASIS_CHECK (off | warn | strict); declared
-  // before ObsScope so traces flush before any strict exit.
-  oasis::check::CheckScope check_scope;
-  oasis::obs::ObsScope obs_scope;
-  using namespace oasis;
+int Run(const RunOptions& options, int, char**) {
   PrintExperimentHeader(std::cout,
                         "Figure 7 - Active VMs and powered hosts over a simulation day",
                         "30 home + 4 consolidation hosts, 900 VMs, FulltoPartial policy "
                         "(paper: weekday peak 411 active VMs at ~14:00, trough ~06:30).");
   // Both day panels are independent runs: plan them together and let the
-  // experiment runner execute them on OASIS_JOBS workers, then print in
+  // experiment runner execute them on `options.jobs` workers, then print in
   // plan order (identical output at any job count).
   exp::ExperimentPlan plan;
   const DayKind days[] = {DayKind::kWeekday, DayKind::kWeekend};
   std::vector<SimulationConfig> configs;
   for (DayKind day : days) {
-    configs.push_back(PaperCluster(ConsolidationPolicy::kFullToPartial, 4, day));
+    configs.push_back(PaperCluster(options, ConsolidationPolicy::kFullToPartial, 4, day));
     plan.Add(configs.back());
   }
-  std::vector<SimulationResult> results = exp::RunParallel(plan);
+  std::vector<SimulationResult> results = exp::RunParallel(plan, options.jobs);
   for (size_t i = 0; i < configs.size(); ++i) {
-    PrintDay(days[i], configs[i], results[i]);
+    PrintDay(options, days[i], configs[i], results[i]);
   }
   return 0;
 }
+
+}  // namespace
+}  // namespace oasis
+
+int main(int argc, char** argv) { return oasis::RunMain(argc, argv, oasis::Run); }

@@ -14,15 +14,14 @@
 #include "src/common/csv.h"
 #include "src/common/table.h"
 #include "src/exp/exp.h"
-#include "src/check/check.h"
-#include "src/obs/obs.h"
 
 namespace oasis {
 namespace {
 
-void PrintPanel(DayKind day, int runs) {
+void PrintPanel(const RunOptions& options, DayKind day) {
+  const int runs = options.bench_runs;
   std::printf("\n-- %s (mean +/- stddev over %d runs) --\n", DayKindName(day), runs);
-  auto csv_file = CsvFileFor(std::string("fig08_") + DayKindName(day));
+  auto csv_file = CsvFileFor(options, std::string("fig08_") + DayKindName(day));
   std::unique_ptr<CsvWriter> csv;
   if (csv_file) {
     csv = std::make_unique<CsvWriter>(
@@ -30,7 +29,7 @@ void PrintPanel(DayKind day, int runs) {
         std::vector<std::string>{"policy", "consolidation_hosts", "savings", "stddev"});
   }
   // Plan the whole panel grid (policy x hosts x runs) before executing:
-  // the runner spreads the independent runs over OASIS_JOBS workers and the
+  // the runner spreads the independent runs over `options.jobs` workers and the
   // second loop aggregates/prints in plan order, reproducing the serial
   // output byte-for-byte.
   exp::ExperimentPlan plan;
@@ -38,10 +37,10 @@ void PrintPanel(DayKind day, int runs) {
   const int host_counts[] = {2, 4, 6, 8, 10, 12};
   for (ConsolidationPolicy policy : kAllPolicies) {
     for (int hosts : host_counts) {
-      spans.push_back(plan.AddRepetitions(PaperCluster(policy, hosts, day), runs));
+      spans.push_back(plan.AddRepetitions(PaperCluster(options, policy, hosts, day), runs));
     }
   }
-  std::vector<SimulationResult> results = exp::RunParallel(plan);
+  std::vector<SimulationResult> results = exp::RunParallel(plan, options.jobs);
   TextTable table({"policy", "2 hosts", "4 hosts", "6 hosts", "8 hosts", "10 hosts",
                    "12 hosts"});
   size_t datapoint = 0;
@@ -62,22 +61,17 @@ void PrintPanel(DayKind day, int runs) {
   table.Print(std::cout);
 }
 
-}  // namespace
-}  // namespace oasis
-
-int main() {
-  // Honour OASIS_TRACE / OASIS_METRICS / OASIS_LOG_LEVEL for this run.
-  // Invariant checking per OASIS_CHECK (off | warn | strict); declared
-  // before ObsScope so traces flush before any strict exit.
-  oasis::check::CheckScope check_scope;
-  oasis::obs::ObsScope obs_scope;
-  using namespace oasis;
-  int runs = BenchRuns();
+int Run(const RunOptions& options, int, char**) {
   PrintExperimentHeader(std::cout, "Figure 8 - Energy savings vs consolidation hosts",
                         "30 home hosts x 30 VMs; savings normalized to all home hosts "
                         "left powered (paper: FulltoPartial 28% weekday / 43% weekend, "
                         "leveling off at 4 consolidation hosts).");
-  PrintPanel(DayKind::kWeekday, runs);
-  PrintPanel(DayKind::kWeekend, runs);
+  PrintPanel(options, DayKind::kWeekday);
+  PrintPanel(options, DayKind::kWeekend);
   return 0;
 }
+
+}  // namespace
+}  // namespace oasis
+
+int main(int argc, char** argv) { return oasis::RunMain(argc, argv, oasis::Run); }

@@ -11,16 +11,11 @@
 #include "bench/bench_util.h"
 #include "src/common/table.h"
 #include "src/exp/exp.h"
-#include "src/check/check.h"
-#include "src/obs/obs.h"
 
-int main() {
-  // Honour OASIS_TRACE / OASIS_METRICS / OASIS_LOG_LEVEL for this run.
-  // Invariant checking per OASIS_CHECK (off | warn | strict); declared
-  // before ObsScope so traces flush before any strict exit.
-  oasis::check::CheckScope check_scope;
-  oasis::obs::ObsScope obs_scope;
-  using namespace oasis;
+namespace oasis {
+namespace {
+
+int Run(const RunOptions& options, int, char**) {
   PrintExperimentHeader(std::cout, "Figure 9 - CDF of consolidation ratio",
                         "VMs per powered consolidation host, 30 home + 4 consolidation "
                         "hosts, weekday (paper: median 60 Default vs 93 FulltoPartial).");
@@ -30,10 +25,10 @@ int main() {
   // same five simulations one after another.
   exp::ExperimentPlan plan;
   for (ConsolidationPolicy policy : kAllPolicies) {
-    plan.Add(PaperCluster(policy, 4, DayKind::kWeekday));
+    plan.Add(PaperCluster(options, policy, 4, DayKind::kWeekday));
   }
-  plan.Add(PaperCluster(ConsolidationPolicy::kFullToPartial, 4, DayKind::kWeekday));
-  std::vector<SimulationResult> results = exp::RunParallel(plan);
+  plan.Add(PaperCluster(options, ConsolidationPolicy::kFullToPartial, 4, DayKind::kWeekday));
+  std::vector<SimulationResult> results = exp::RunParallel(plan, options.jobs);
 
   TextTable table({"policy", "p10", "p25", "median", "p75", "p90", "p99", "max"});
   size_t next = 0;
@@ -58,3 +53,8 @@ int main() {
   }
   return 0;
 }
+
+}  // namespace
+}  // namespace oasis
+
+int main(int argc, char** argv) { return oasis::RunMain(argc, argv, oasis::Run); }

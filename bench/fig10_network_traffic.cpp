@@ -10,16 +10,11 @@
 #include "bench/bench_util.h"
 #include "src/common/table.h"
 #include "src/exp/exp.h"
-#include "src/check/check.h"
-#include "src/obs/obs.h"
 
-int main() {
-  // Honour OASIS_TRACE / OASIS_METRICS / OASIS_LOG_LEVEL for this run.
-  // Invariant checking per OASIS_CHECK (off | warn | strict); declared
-  // before ObsScope so traces flush before any strict exit.
-  oasis::check::CheckScope check_scope;
-  oasis::obs::ObsScope obs_scope;
-  using namespace oasis;
+namespace oasis {
+namespace {
+
+int Run(const RunOptions& options, int, char**) {
   PrintExperimentHeader(std::cout, "Figure 10 - Weekday data transfer breakdown",
                         "Per-policy network volume over one weekday, 30+4 cluster "
                         "(memory uploads travel the host-local SAS link, not the rack).");
@@ -27,9 +22,9 @@ int main() {
   // Four independent policy runs, planned up front for the runner.
   exp::ExperimentPlan plan;
   for (ConsolidationPolicy policy : kAllPolicies) {
-    plan.Add(PaperCluster(policy, 4, DayKind::kWeekday));
+    plan.Add(PaperCluster(options, policy, 4, DayKind::kWeekday));
   }
-  std::vector<SimulationResult> results = exp::RunParallel(plan);
+  std::vector<SimulationResult> results = exp::RunParallel(plan, options.jobs);
 
   TextTable table({"policy", "full migration", "descriptor", "on-demand", "reintegration",
                    "network total", "SAS uploads"});
@@ -51,3 +46,8 @@ int main() {
               "hosts share a rack with abundant bandwidth, section 5.4).\n");
   return 0;
 }
+
+}  // namespace
+}  // namespace oasis
+
+int main(int argc, char** argv) { return oasis::RunMain(argc, argv, oasis::Run); }

@@ -13,22 +13,17 @@
 #include "src/common/csv.h"
 #include "src/common/table.h"
 #include "src/exp/exp.h"
-#include "src/check/check.h"
-#include "src/obs/obs.h"
 
-int main() {
-  // Honour OASIS_TRACE / OASIS_METRICS / OASIS_LOG_LEVEL for this run.
-  // Invariant checking per OASIS_CHECK (off | warn | strict); declared
-  // before ObsScope so traces flush before any strict exit.
-  oasis::check::CheckScope check_scope;
-  oasis::obs::ObsScope obs_scope;
-  using namespace oasis;
+namespace oasis {
+namespace {
+
+int Run(const RunOptions& options, int, char**) {
   PrintExperimentHeader(std::cout, "Figure 11 - Idle->active transition delays",
                         "FulltoPartial, weekday, 30 home hosts; delay CDF vs number of "
                         "consolidation hosts (paper: zero-latency 75% at 2 hosts -> 38% "
                         "at 12; p99.99 <= 19 s).");
 
-  auto csv_file = CsvFileFor("fig11_delay_cdf");
+  auto csv_file = CsvFileFor(options, "fig11_delay_cdf");
   std::unique_ptr<CsvWriter> csv;
   if (csv_file) {
     csv = std::make_unique<CsvWriter>(
@@ -38,9 +33,10 @@ int main() {
   const int host_counts[] = {2, 4, 6, 8, 10, 12};
   exp::ExperimentPlan plan;
   for (int hosts : host_counts) {
-    plan.Add(PaperCluster(ConsolidationPolicy::kFullToPartial, hosts, DayKind::kWeekday));
+    plan.Add(
+        PaperCluster(options, ConsolidationPolicy::kFullToPartial, hosts, DayKind::kWeekday));
   }
-  std::vector<SimulationResult> results = exp::RunParallel(plan);
+  std::vector<SimulationResult> results = exp::RunParallel(plan, options.jobs);
 
   TextTable table({"consolidation hosts", "transitions", "zero-delay", "p50 (s)", "p90 (s)",
                    "p99 (s)", "p99.99 (s)", "max (s)"});
@@ -68,3 +64,8 @@ int main() {
               "is the paper's argument that consolidation barely hurts productivity.\n");
   return 0;
 }
+
+}  // namespace
+}  // namespace oasis
+
+int main(int argc, char** argv) { return oasis::RunMain(argc, argv, oasis::Run); }

@@ -11,17 +11,12 @@
 #include "bench/bench_util.h"
 #include "src/common/table.h"
 #include "src/exp/exp.h"
-#include "src/check/check.h"
-#include "src/obs/obs.h"
 
-int main() {
-  // Honour OASIS_TRACE / OASIS_METRICS / OASIS_LOG_LEVEL for this run.
-  // Invariant checking per OASIS_CHECK (off | warn | strict); declared
-  // before ObsScope so traces flush before any strict exit.
-  oasis::check::CheckScope check_scope;
-  oasis::obs::ObsScope obs_scope;
-  using namespace oasis;
-  int runs = std::max(1, BenchRuns() - 2);
+namespace oasis {
+namespace {
+
+int Run(const RunOptions& options, int, char**) {
+  int runs = std::max(1, options.bench_runs - 2);
   PrintExperimentHeader(std::cout, "Figure 12 - Sensitivity to cluster shape",
                         "900 VMs total, FulltoPartial; rows are home-hosts x VMs-per-host, "
                         "columns add consolidation hosts (paper: savings are flat).");
@@ -40,7 +35,8 @@ int main() {
     std::vector<exp::RepetitionSpan> spans;
     for (const Shape& shape : shapes) {
       for (int cons : {2, 3, 4}) {
-        SimulationConfig config = PaperCluster(ConsolidationPolicy::kFullToPartial, cons, day);
+        SimulationConfig config =
+            PaperCluster(options, ConsolidationPolicy::kFullToPartial, cons, day);
         config.cluster.num_home_hosts = shape.homes;
         // Denser home hosts are bigger servers: capacity (and, proportionally,
         // host power) scales with the VM count, as §5.6's "vary the server
@@ -49,7 +45,7 @@ int main() {
         spans.push_back(plan.AddRepetitions(config, runs));
       }
     }
-    std::vector<SimulationResult> results = exp::RunParallel(plan);
+    std::vector<SimulationResult> results = exp::RunParallel(plan, options.jobs);
 
     TextTable table({"cluster shape", "+2 hosts", "+3 hosts", "+4 hosts"});
     size_t datapoint = 0;
@@ -67,3 +63,8 @@ int main() {
   }
   return 0;
 }
+
+}  // namespace
+}  // namespace oasis
+
+int main(int argc, char** argv) { return oasis::RunMain(argc, argv, oasis::Run); }

@@ -12,28 +12,22 @@
 // keeps legacy-no-s3 homes powered (they sponsor, but never sleep), so
 // their band must read 0.0 while the S3-capable bands do the sleeping.
 //
-// Environment:
-//   OASIS_FLEET=<gen:count,...>  overrides the default mix (generations from
-//                                the src/power catalog). Anything malformed —
-//                                including an unknown generation name — exits
-//                                with status 2, matching the OASIS_CHECK /
-//                                OASIS_DC_RACKS convention.
+// OASIS_FLEET=<gen:count,...> overrides the default mix (generations from the
+// src/power catalog). A malformed spec, or one that does not fit the 30+4
+// rack, exits with status 2 before any output.
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/check/check.h"
 #include "src/cluster/oracle.h"
 #include "src/cluster/strategy.h"
 #include "src/common/table.h"
 #include "src/exp/exp.h"
-#include "src/obs/obs.h"
 #include "src/power/host_profile.h"
 
 namespace oasis {
@@ -44,22 +38,6 @@ namespace {
 // generation (the consolidation tier must be sleep-capable or nothing the
 // drain saves comes back).
 constexpr const char* kDefaultFleetSpec = "table1:10,legacy-no-s3:10,efficient-v2:14";
-
-FleetMix FleetFromEnv() {
-  const char* env = std::getenv("OASIS_FLEET");
-  const std::string spec =
-      (env == nullptr || *env == '\0') ? kDefaultFleetSpec : env;
-  StatusOr<FleetMix> mix = ParseFleetMix(spec);
-  if (!mix.ok()) {
-    std::fprintf(stderr,
-                 "bad OASIS_FLEET \"%s\": %s (accepted: generation:count pairs "
-                 "joined by commas, generations from the catalog: %s)\n",
-                 spec.c_str(), mix.status().ToString().c_str(),
-                 HostGenerationNames().c_str());
-    std::exit(2);
-  }
-  return *mix;
-}
 
 uint64_t FnvFold(uint64_t hash, uint64_t value) {
   for (int b = 0; b < 8; ++b) {
@@ -75,8 +53,7 @@ uint64_t DoubleBits(double v) {
   return bits;
 }
 
-void FleetSweep(int runs) {
-  const FleetMix mix = FleetFromEnv();
+void FleetSweep(const RunOptions& options, const FleetMix& mix, int runs) {
   const std::vector<std::string>& names = RegisteredStrategyNames();
 
   exp::ExperimentPlan plan;
@@ -85,20 +62,14 @@ void FleetSweep(int runs) {
   ClusterConfig oracle_cluster;
   for (const std::string& name : names) {
     SimulationConfig config =
-        PaperCluster(ConsolidationPolicy::kFullToPartial, 4, DayKind::kWeekday);
+        PaperCluster(options, ConsolidationPolicy::kFullToPartial, 4, DayKind::kWeekday);
     config.cluster.strategy_name = name;
     config.cluster.fleet = mix;
-    Status valid = config.cluster.Validate();
-    if (!valid.ok()) {
-      std::fprintf(stderr, "bad OASIS_FLEET for the 30+4 rack: %s\n",
-                   valid.ToString().c_str());
-      std::exit(2);
-    }
     base_seed = config.seed;
     oracle_cluster = config.cluster;
     spans.push_back(plan.AddRepetitions(config, runs));
   }
-  std::vector<SimulationResult> results = exp::RunParallel(plan);
+  std::vector<SimulationResult> results = exp::RunParallel(plan, options.jobs);
 
   // One oracle solve per repetition (the per-class DayModel prices each
   // home generation separately and never sleeps the legacy band), shared
@@ -192,21 +163,26 @@ void FleetSweep(int runs) {
       "comparable across generations.\n");
 }
 
-}  // namespace
-}  // namespace oasis
-
-int main() {
-  // Invariant checking per OASIS_CHECK (off | warn | strict); declared
-  // before ObsScope so traces flush before any strict exit.
-  oasis::check::CheckScope check_scope;
-  oasis::obs::ObsScope obs_scope;
-  using namespace oasis;
+int Run(const RunOptions& options, int, char**) {
+  // The mix must fit the 30+4 rack; checked before any output.
+  ClusterConfig rack =
+      PaperCluster(options, ConsolidationPolicy::kFullToPartial, 4, DayKind::kWeekday).cluster;
+  rack.fleet = options.fleet.value_or(*ParseFleetMix(kDefaultFleetSpec));
+  if (Status valid = rack.Validate(); !valid.ok()) {
+    const std::string reason = "OASIS_FLEET does not fit the 30+4 rack: " + valid.message();
+    return ReportBadConfig(Status::InvalidArgument(reason));
+  }
   PrintExperimentHeader(std::cout, "Heterogeneous fleet - mixed host generations",
                         "The standard 30+4 weekday rack built from three catalog "
                         "generations (table1, legacy-no-s3, efficient-v2): every "
                         "registered strategy prices per-host power curves, the s3 "
                         "gate keeps incapable homes powered, and the oracle bound "
                         "prices the same mix per class.");
-  FleetSweep(std::max(1, BenchRuns() - 2));
+  FleetSweep(options, rack.fleet, std::max(1, options.bench_runs - 2));
   return 0;
 }
+
+}  // namespace
+}  // namespace oasis
+
+int main(int argc, char** argv) { return oasis::RunMain(argc, argv, oasis::Run); }

@@ -1,6 +1,8 @@
 // google-benchmark microbenchmarks of the substrates the simulations sit on:
 // the LZ compressor (per page class), event queue, bitmaps, memory images,
-// working-set sampling, trace generation and a whole cluster day.
+// working-set sampling, trace generation and a whole cluster day. The
+// cluster day runs at OASIS_SEED when set; google-benchmark flags pass
+// through on the command line.
 
 #include <benchmark/benchmark.h>
 
@@ -10,7 +12,7 @@
 #include "src/mem/memory_image.h"
 #include "src/mem/page_content.h"
 #include "src/mem/working_set.h"
-#include "src/obs/obs.h"
+#include "src/run/run_options.h"
 #include "src/sim/event_queue.h"
 #include "src/trace/trace_generator.h"
 
@@ -110,21 +112,34 @@ void BM_TraceGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceGeneration);
 
-void BM_ClusterDaySimulation(benchmark::State& state) {
+void BM_ClusterDaySimulation(benchmark::State& state, uint64_t seed) {
   SimulationConfig config;
   config.cluster.num_home_hosts = static_cast<int>(state.range(0));
   config.cluster.num_consolidation_hosts = 4;
   config.cluster.vms_per_home = 30;
-  obs::ApplySeedOverride(&config.seed);
+  config.seed = seed;
   for (auto _ : state) {
     ClusterSimulation sim(config);
     benchmark::DoNotOptimize(sim.Run().metrics.TotalEnergy());
   }
   state.SetLabel(std::to_string(config.cluster.TotalVms()) + " VMs/day");
 }
-BENCHMARK(BM_ClusterDaySimulation)->Arg(10)->Arg(30)->Unit(benchmark::kMillisecond);
+int Run(const RunOptions& options, int argc, char** argv) {
+  benchmark::RegisterBenchmark("BM_ClusterDaySimulation", BM_ClusterDaySimulation,
+                               options.seed.value_or(SimulationConfig{}.seed))
+      ->Arg(10)
+      ->Arg(30)
+      ->Unit(benchmark::kMillisecond);
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
+    return 1;
+  }
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}
 
 }  // namespace
 }  // namespace oasis
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) { return oasis::RunMain(argc, argv, oasis::Run); }

@@ -26,7 +26,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
+#include <string>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -35,7 +35,6 @@
 #include "bench/bench_util.h"
 #include "src/common/table.h"
 #include "src/exp/exp.h"
-#include "src/check/check.h"
 #include "src/obs/obs.h"
 #include "src/obs/prof.h"
 
@@ -72,7 +71,7 @@ uint64_t ResultsChecksum(const std::vector<SimulationResult>& results) {
   return hash;
 }
 
-exp::ExperimentPlan Fig12Grid(int runs) {
+exp::ExperimentPlan Fig12Grid(const RunOptions& options, int runs) {
   struct Shape {
     int homes;
     int vms_per_home;
@@ -82,7 +81,7 @@ exp::ExperimentPlan Fig12Grid(int runs) {
   for (const Shape& shape : shapes) {
     for (int cons : {2, 3, 4}) {
       SimulationConfig config =
-          PaperCluster(ConsolidationPolicy::kFullToPartial, cons, DayKind::kWeekday);
+          PaperCluster(options, ConsolidationPolicy::kFullToPartial, cons, DayKind::kWeekday);
       config.cluster.num_home_hosts = shape.homes;
       config.cluster.SetVmsPerHome(shape.vms_per_home);
       plan.AddRepetitions(config, runs);
@@ -109,27 +108,15 @@ struct CollapsedPoint {
   int effective = 0;
 };
 
-}  // namespace
-}  // namespace oasis
-
-int main() {
-  // Honour OASIS_TRACE / OASIS_METRICS / OASIS_LOG_LEVEL for this run.
-  // Invariant checking per OASIS_CHECK (off | warn | strict); declared
-  // before ObsScope so traces flush before any strict exit. Wall-clock
-  // profiling per OASIS_PROF (off | summary | timeline); declared after
-  // ObsScope so session-end collection runs before the trace is exported.
-  oasis::check::CheckScope check_scope;
-  oasis::obs::ObsScope obs_scope;
-  oasis::prof::ProfSession prof_session;
-  using namespace oasis;
-  int runs = std::max(1, BenchRuns() - 2);
+int Run(const RunOptions& options, int, char**) {
+  int runs = std::max(1, options.bench_runs - 2);
   PrintExperimentHeader(std::cout, "Perf sweep - parallel experiment runner throughput",
                         "Figure 12 sensitivity grid (5 shapes x 3 consolidation counts) "
                         "executed at increasing OASIS_JOBS; results must be identical at "
                         "every job count.");
 
   // jobs sweep: 1, 2, 4, ... up to the requested maximum (always >= 1 step).
-  int max_jobs = exp::JobsFromEnv();
+  const int max_jobs = options.jobs;
   std::vector<int> jobs_requested{1};
   for (int jobs = 2; jobs < max_jobs; jobs *= 2) {
     jobs_requested.push_back(jobs);
@@ -138,7 +125,7 @@ int main() {
     jobs_requested.push_back(max_jobs);
   }
 
-  exp::ExperimentPlan plan = Fig12Grid(runs);
+  exp::ExperimentPlan plan = Fig12Grid(options, runs);
   std::printf("plan: %zu runs (%d reps per datapoint), sweeping jobs up to %d\n\n",
               plan.size(), runs, max_jobs);
 
@@ -166,7 +153,7 @@ int main() {
     }
   }
 
-  const bool profiling = prof_session.config().Enabled();
+  const bool profiling = options.prof.Enabled();
   // Each step is timed best-of-3: the plan is deterministic, so the fastest
   // repetition is the one least disturbed by scheduler noise — the right
   // estimator for a snapshot whose step-to-step *ratios* are compared
@@ -225,21 +212,18 @@ int main() {
               static_cast<unsigned long long>(points.front().checksum),
               deterministic ? "identical" : "MISMATCH - determinism broken");
 
-  const char* json_path = std::getenv("OASIS_BENCH_JSON");
-  if (json_path == nullptr || *json_path == '\0') {
-    json_path = "BENCH_sweep.json";
-  }
+  const std::string json_path =
+      options.bench_json.empty() ? "BENCH_sweep.json" : options.bench_json;
   std::ofstream json(json_path);
   if (json) {
     json << "{\n  \"bench\": \"perf_sweep\",\n  \"grid\": \"fig12_weekday\",\n";
     // Machine/revision stamps so cross-PR trajectory diffs are interpretable:
     // a jobs=4 speedup of 1.0x means something entirely different on a
-    // 1-core box than on a 16-core one. The SHA comes from the environment
+    // 1-core box than on a 16-core one. The SHA comes from OASIS_BENCH_GIT_SHA
     // (tools/update_bench.sh exports it) so the binary stays hermetic.
     json << "  \"hardware_cores\": " << exp::HardwareJobs() << ",\n";
-    const char* git_sha = std::getenv("OASIS_BENCH_GIT_SHA");
-    json << "  \"git_sha\": \"" << (git_sha != nullptr && *git_sha != '\0' ? git_sha : "unknown")
-         << "\",\n";
+    json << "  \"git_sha\": \""
+         << (options.bench_git_sha.empty() ? "unknown" : options.bench_git_sha) << "\",\n";
     json << "  \"runs\": " << plan.size() << ",\n";
     json << "  \"reps_per_datapoint\": " << runs << ",\n";
     char checksum_hex[32];
@@ -247,7 +231,7 @@ int main() {
                   static_cast<unsigned long long>(points.front().checksum));
     json << "  \"results_checksum\": \"" << checksum_hex << "\",\n";
     json << "  \"deterministic\": " << (deterministic ? "true" : "false") << ",\n";
-    json << "  \"prof_mode\": \"" << prof::ProfModeName(prof_session.config().mode)
+    json << "  \"prof_mode\": \"" << prof::ProfModeName(options.prof.mode)
          << "\",\n";
     // Requested job counts whose effective worker count duplicated an
     // earlier point; kept in the record so a trajectory diff can tell "the
@@ -278,9 +262,14 @@ int main() {
       json << (i + 1 < points.size() ? "," : "") << "\n";
     }
     json << "  ]\n}\n";
-    obs::TimingLine("wrote %s", json_path);
+    obs::TimingLine("wrote %s", json_path.c_str());
   } else {
-    std::fprintf(stderr, "cannot write %s\n", json_path);
+    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
   }
   return deterministic ? 0 : 1;
 }
+
+}  // namespace
+}  // namespace oasis
+
+int main(int argc, char** argv) { return oasis::RunMain(argc, argv, oasis::Run); }

@@ -6,16 +6,12 @@
 #include "src/common/table.h"
 #include "src/power/energy_meter.h"
 #include "src/power/power_model.h"
-#include "src/check/check.h"
-#include "src/obs/obs.h"
+#include "src/run/run_options.h"
 
-int main() {
-  // Honour OASIS_TRACE / OASIS_METRICS / OASIS_LOG_LEVEL for this run.
-  // Invariant checking per OASIS_CHECK (off | warn | strict); declared
-  // before ObsScope so traces flush before any strict exit.
-  oasis::check::CheckScope check_scope;
-  oasis::obs::ObsScope obs_scope;
-  using namespace oasis;
+namespace oasis {
+namespace {
+
+int Run(const RunOptions&, int, char**) {
   PrintExperimentHeader(std::cout, "Table 1 - Energy profiles and S3 transition times",
                         "Model constants as measured on the paper's custom host.");
 
@@ -55,3 +51,8 @@ int main() {
   derived.Print(std::cout);
   return 0;
 }
+
+}  // namespace
+}  // namespace oasis
+
+int main(int argc, char** argv) { return oasis::RunMain(argc, argv, oasis::Run); }

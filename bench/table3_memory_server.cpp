@@ -9,17 +9,12 @@
 #include "bench/bench_util.h"
 #include "src/common/table.h"
 #include "src/exp/exp.h"
-#include "src/check/check.h"
-#include "src/obs/obs.h"
 
-int main() {
-  // Honour OASIS_TRACE / OASIS_METRICS / OASIS_LOG_LEVEL for this run.
-  // Invariant checking per OASIS_CHECK (off | warn | strict); declared
-  // before ObsScope so traces flush before any strict exit.
-  oasis::check::CheckScope check_scope;
-  oasis::obs::ObsScope obs_scope;
-  using namespace oasis;
-  int runs = BenchRuns();
+namespace oasis {
+namespace {
+
+int Run(const RunOptions& options, int, char**) {
+  int runs = options.bench_runs;
   PrintExperimentHeader(std::cout, "Table 3 - Alternative memory server implementations",
                         "FulltoPartial, 30+4 cluster; savings vs memory-server power "
                         "(paper: 28%/43% at 42.2 W rising to 41%/68% at 1 W).");
@@ -30,12 +25,13 @@ int main() {
   std::vector<exp::RepetitionSpan> spans;
   for (double watts : watt_points) {
     for (DayKind day : {DayKind::kWeekday, DayKind::kWeekend}) {
-      SimulationConfig config = PaperCluster(ConsolidationPolicy::kFullToPartial, 4, day);
+      SimulationConfig config =
+          PaperCluster(options, ConsolidationPolicy::kFullToPartial, 4, day);
       config.cluster.memory_server_power = MemoryServerProfile::WithPower(watts);
       spans.push_back(plan.AddRepetitions(config, runs));
     }
   }
-  std::vector<SimulationResult> results = exp::RunParallel(plan);
+  std::vector<SimulationResult> results = exp::RunParallel(plan, options.jobs);
 
   TextTable table({"memory server power (W)", "weekday savings", "weekend savings"});
   size_t datapoint = 0;
@@ -51,3 +47,8 @@ int main() {
   table.Print(std::cout);
   return 0;
 }
+
+}  // namespace
+}  // namespace oasis
+
+int main(int argc, char** argv) { return oasis::RunMain(argc, argv, oasis::Run); }

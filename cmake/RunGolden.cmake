@@ -8,7 +8,9 @@
 # scrubbed (OASIS_CHECK deliberately passes through, so CI runs the golden
 # suite with the invariant checker in strict mode; OASIS_PROF passes through
 # too — the profiler's contract is that stdout is byte-identical in every
-# mode, and running goldens under OASIS_PROF=summary proves it) — captures
+# mode, and running goldens under OASIS_PROF=summary proves it; OASIS_POLICY
+# passes through as well, so CI's explicit OASIS_POLICY=oasis-greedy step
+# proves naming the default strategy changes nothing) — captures
 # stdout, and compares it byte-for-byte against GOLDEN. On mismatch the test
 # fails with both SHA-256 digests and keeps the observed output next to the
 # scratch dir for upload/diffing. With UPDATE=1 the observed output replaces

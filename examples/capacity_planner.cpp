@@ -15,17 +15,12 @@
 #include "src/cluster/strategy.h"
 #include "src/core/oasis.h"
 #include "src/exp/exp.h"
-#include "src/check/check.h"
-#include "src/obs/obs.h"
+#include "src/run/run_options.h"
 
-int main(int argc, char** argv) {
-  // Honour OASIS_TRACE / OASIS_METRICS / OASIS_LOG_LEVEL for this run.
-  // Invariant checking per OASIS_CHECK (off | warn | strict); declared
-  // before ObsScope so traces flush before any strict exit.
-  oasis::check::CheckScope check_scope;
-  oasis::obs::ObsScope obs_scope;
-  using namespace oasis;
+namespace oasis {
+namespace {
 
+int Run(const RunOptions& options, int argc, char** argv) {
   int home_hosts = argc > 1 ? std::atoi(argv[1]) : 30;
   int vms_per_host = argc > 2 ? std::atoi(argv[2]) : 30;
   double attendance = argc > 3 ? std::atof(argv[3]) / 100.0 : 0.76;
@@ -49,14 +44,13 @@ int main(int argc, char** argv) {
     config.cluster.num_consolidation_hosts = cons;
     config.cluster.policy = ConsolidationPolicy::kFullToPartial;
     config.trace.weekday_attendance = attendance;
-    config.seed = 77;
-    obs::ApplySeedOverride(&config.seed);
-    ApplyPolicyOverride(&config.cluster);  // honour OASIS_POLICY
+    config.seed = options.seed.value_or(77);
+    config.cluster.strategy_name = options.policy.value_or(config.cluster.strategy_name);
     plan.Add(config);
     config.day = DayKind::kWeekend;
     plan.Add(config);
   }
-  std::vector<SimulationResult> results = exp::RunParallel(plan);
+  std::vector<SimulationResult> results = exp::RunParallel(plan, options.jobs);
 
   TextTable table({"consolidation hosts", "weekday savings", "weekend savings",
                    "instant transitions", "p99 delay (s)", "daily rack kWh"});
@@ -90,3 +84,8 @@ int main(int argc, char** argv) {
               MemoryServerProfile{}.TotalWatts());
   return 0;
 }
+
+}  // namespace
+}  // namespace oasis
+
+int main(int argc, char** argv) { return oasis::RunMain(argc, argv, oasis::Run); }

@@ -9,25 +9,19 @@
 #include "src/hyper/memtap.h"
 #include "src/hyper/migration_model.h"
 #include "src/hyper/workloads.h"
-#include "src/check/check.h"
-#include "src/obs/obs.h"
+#include "src/run/run_options.h"
 
-int main() {
-  // Honour OASIS_TRACE / OASIS_METRICS / OASIS_LOG_LEVEL for this run.
-  // Invariant checking per OASIS_CHECK (off | warn | strict); declared
-  // before ObsScope so traces flush before any strict exit.
-  oasis::check::CheckScope check_scope;
-  oasis::obs::ObsScope obs_scope;
-  using namespace oasis;
+namespace oasis {
+namespace {
 
+int Run(const RunOptions& options, int, char**) {
   std::printf("=== Oasis partial VM migration, step by step ===\n\n");
 
   // 1. A 4 GiB desktop VM boots and runs the Table 2 multitasking workload.
   VmConfig config;
   config.id = 1001;
   config.memory_bytes = 4 * kGiB;
-  config.seed = 7;
-  obs::ApplySeedOverride(&config.seed);
+  config.seed = options.seed.value_or(7);
   Vm vm(config);
   ApplyWorkload(vm, BaseSystemFootprint());
   ApplyWorkload(vm, DesktopWorkload1());
@@ -94,3 +88,8 @@ int main() {
   std::printf("\ndone: %s\n", vm.DebugString().c_str());
   return 0;
 }
+
+}  // namespace
+}  // namespace oasis
+
+int main(int argc, char** argv) { return oasis::RunMain(argc, argv, oasis::Run); }

@@ -12,63 +12,52 @@
 #include "src/cluster/strategy.h"
 #include "src/core/oasis.h"
 #include "src/exp/exp.h"
-#include "src/check/check.h"
-#include "src/obs/obs.h"
-#include "src/obs/prof.h"
+#include "src/run/run_options.h"
 
+namespace oasis {
 namespace {
 
-oasis::ConsolidationPolicy ParsePolicy(const std::string& name) {
+ConsolidationPolicy ParsePolicy(const std::string& name) {
   if (name == "onlypartial") {
-    return oasis::ConsolidationPolicy::kOnlyPartial;
+    return ConsolidationPolicy::kOnlyPartial;
   }
   if (name == "default") {
-    return oasis::ConsolidationPolicy::kDefault;
+    return ConsolidationPolicy::kDefault;
   }
   if (name == "newhome") {
-    return oasis::ConsolidationPolicy::kNewHome;
+    return ConsolidationPolicy::kNewHome;
   }
-  return oasis::ConsolidationPolicy::kFullToPartial;
+  return ConsolidationPolicy::kFullToPartial;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  // Honour OASIS_TRACE / OASIS_METRICS / OASIS_LOG_LEVEL for this run.
-  // Invariant checking per OASIS_CHECK (off | warn | strict); declared
-  // before ObsScope so traces flush before any strict exit. Wall-clock
-  // profiling per OASIS_PROF (off | summary | timeline); declared after
-  // ObsScope so the session-end report runs before the trace is exported.
-  oasis::check::CheckScope check_scope;
-  oasis::obs::ObsScope obs_scope;
-  oasis::prof::ProfSession prof_session;
-  oasis::SimulationConfig config;
-  oasis::obs::ApplySeedOverride(&config.seed);
-  oasis::ApplyPolicyOverride(&config.cluster);  // honour OASIS_POLICY
+int Run(const RunOptions& options, int argc, char** argv) {
+  SimulationConfig config;
+  config.seed = options.seed.value_or(config.seed);
+  config.cluster.strategy_name = options.policy.value_or(config.cluster.strategy_name);
   config.cluster.policy =
       ParsePolicy(argc > 1 ? argv[1] : "fulltopartial");
   if (argc > 2 && std::string(argv[2]) == "weekend") {
-    config.day = oasis::DayKind::kWeekend;
+    config.day = DayKind::kWeekend;
   }
 
   // A single-run plan through the experiment runner: with one run (or
   // OASIS_JOBS=1) this is exactly ClusterSimulation(config).Run().
-  oasis::exp::ExperimentPlan plan;
+  exp::ExperimentPlan plan;
   plan.Add(config);
-  std::vector<oasis::SimulationResult> results = oasis::exp::RunParallel(plan);
-  const oasis::ClusterMetrics& m = results[0].metrics;
+  std::vector<SimulationResult> results = exp::RunParallel(plan, options.jobs);
+  const ClusterMetrics& m = results[0].metrics;
 
   std::printf("Oasis quickstart: one simulated weekday, %d home + %d consolidation hosts, "
               "%d VMs, policy=%s\n",
               config.cluster.num_home_hosts, config.cluster.num_consolidation_hosts,
               config.cluster.TotalVms(),
-              oasis::ConsolidationPolicyName(config.cluster.policy));
-  std::printf("  baseline energy        : %.2f kWh\n", oasis::ToKWh(m.baseline_energy));
+              ConsolidationPolicyName(config.cluster.policy));
+  std::printf("  baseline energy        : %.2f kWh\n", ToKWh(m.baseline_energy));
   std::printf("  oasis energy           : %.2f kWh  (homes %.2f + consolidation %.2f + "
               "memory servers %.2f)\n",
-              oasis::ToKWh(m.TotalEnergy()), oasis::ToKWh(m.home_host_energy),
-              oasis::ToKWh(m.consolidation_host_energy),
-              oasis::ToKWh(m.memory_server_energy));
+              ToKWh(m.TotalEnergy()), ToKWh(m.home_host_energy),
+              ToKWh(m.consolidation_host_energy),
+              ToKWh(m.memory_server_energy));
   std::printf("  energy savings         : %.1f%%\n", m.EnergySavings() * 100.0);
   std::printf("  migrations             : %llu full, %llu partial, %llu reintegrations\n",
               static_cast<unsigned long long>(m.full_migrations),
@@ -94,10 +83,15 @@ int main(int argc, char** argv) {
   std::printf("  timeline (time: active VMs / powered homes / powered consolidation / "
               "partials / full@cons):\n");
   for (size_t i = 0; i < m.timeline.size(); i += 24) {
-    const oasis::IntervalSnapshot& s = m.timeline[i];
+    const IntervalSnapshot& s = m.timeline[i];
     std::printf("    %s  %3d / %2d / %d / %3d / %3d\n", s.time.ToClockString().c_str(),
                 s.active_vms, s.powered_home_hosts, s.powered_consolidation_hosts,
                 s.partial_vms, s.full_at_consolidation_vms);
   }
   return 0;
 }
+
+}  // namespace
+}  // namespace oasis
+
+int main(int argc, char** argv) { return oasis::RunMain(argc, argv, oasis::Run); }

@@ -11,12 +11,12 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "src/run/run_options.h"
 #include "src/trace/trace_generator.h"
 #include "src/trace/trace_io.h"
 #include "src/trace/trace_stats.h"
-#include "src/check/check.h"
-#include "src/obs/obs.h"
 
+namespace oasis {
 namespace {
 
 int Usage() {
@@ -27,8 +27,7 @@ int Usage() {
   return 2;
 }
 
-int Generate(int argc, char** argv) {
-  using namespace oasis;
+int Generate(const RunOptions& options, int argc, char** argv) {
   if (argc < 5) {
     return Usage();
   }
@@ -46,12 +45,9 @@ int Generate(int argc, char** argv) {
   } else {
     return Usage();
   }
-  uint64_t seed = 42;
-  if (argc > 5) {
-    seed = std::strtoull(argv[5], nullptr, 10);  // explicit CLI seed wins
-  } else {
-    oasis::obs::ApplySeedOverride(&seed);
-  }
+  // An explicit CLI seed wins over OASIS_SEED.
+  const uint64_t seed =
+      argc > 5 ? std::strtoull(argv[5], nullptr, 10) : options.seed.value_or(42);
 
   TraceGenerator generator(TraceGeneratorConfig{}, seed);
   TraceFile file{kind, generator.GenerateTraceSet(users, kind)};
@@ -66,7 +62,6 @@ int Generate(int argc, char** argv) {
 }
 
 int Stats(int argc, char** argv) {
-  using namespace oasis;
   if (argc < 3) {
     return Usage();
   }
@@ -99,22 +94,20 @@ int Stats(int argc, char** argv) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  // Honour OASIS_TRACE / OASIS_METRICS / OASIS_LOG_LEVEL for this run.
-  // Invariant checking per OASIS_CHECK (off | warn | strict); declared
-  // before ObsScope so traces flush before any strict exit.
-  oasis::check::CheckScope check_scope;
-  oasis::obs::ObsScope obs_scope;
+int Run(const RunOptions& options, int argc, char** argv) {
   if (argc < 2) {
     return Usage();
   }
   if (std::strcmp(argv[1], "gen") == 0) {
-    return Generate(argc, argv);
+    return Generate(options, argc, argv);
   }
   if (std::strcmp(argv[1], "stats") == 0) {
     return Stats(argc, argv);
   }
   return Usage();
 }
+
+}  // namespace
+}  // namespace oasis
+
+int main(int argc, char** argv) { return oasis::RunMain(argc, argv, oasis::Run); }

@@ -15,24 +15,18 @@
 #include "src/cluster/strategy.h"
 #include "src/core/oasis.h"
 #include "src/exp/exp.h"
+#include "src/run/run_options.h"
 #include "src/trace/trace_io.h"
 #include "src/trace/trace_stats.h"
-#include "src/check/check.h"
-#include "src/obs/obs.h"
 
-int main(int argc, char** argv) {
-  // Honour OASIS_TRACE / OASIS_METRICS / OASIS_LOG_LEVEL for this run.
-  // Invariant checking per OASIS_CHECK (off | warn | strict); declared
-  // before ObsScope so traces flush before any strict exit.
-  oasis::check::CheckScope check_scope;
-  oasis::obs::ObsScope obs_scope;
-  using namespace oasis;
+namespace oasis {
+namespace {
 
+int Run(const RunOptions& options, int argc, char** argv) {
   SimulationConfig config;
   config.cluster.policy = ConsolidationPolicy::kFullToPartial;
-  config.seed = 2016;
-  obs::ApplySeedOverride(&config.seed);
-  ApplyPolicyOverride(&config.cluster);  // honour OASIS_POLICY
+  config.cluster.strategy_name = options.policy.value_or(config.cluster.strategy_name);
+  config.seed = options.seed.value_or(2016);
 
   if (argc > 1) {
     StatusOr<TraceFile> loaded = ReadTraceFromPath(argv[1]);
@@ -51,7 +45,7 @@ int main(int argc, char** argv) {
   // ClusterSimulation::Run at any OASIS_JOBS setting).
   exp::ExperimentPlan plan;
   plan.Add(config);
-  SimulationResult result = std::move(exp::RunParallel(plan)[0]);
+  SimulationResult result = std::move(exp::RunParallel(plan, options.jobs)[0]);
   const ClusterMetrics& m = result.metrics;
 
   if (argc <= 1) {
@@ -115,3 +109,8 @@ int main(int argc, char** argv) {
   std::printf("\n");
   return 0;
 }
+
+}  // namespace
+}  // namespace oasis
+
+int main(int argc, char** argv) { return oasis::RunMain(argc, argv, oasis::Run); }

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <utility>
 
 #include "src/obs/metrics.h"
@@ -45,24 +44,17 @@ const char* CheckModeName(CheckMode mode) {
   return "?";
 }
 
-CheckConfig CheckConfig::FromEnv() {
-  CheckConfig config;
-  const char* value = std::getenv("OASIS_CHECK");
-  if (value == nullptr || *value == '\0' || std::strcmp(value, "0") == 0 ||
-      std::strcmp(value, "off") == 0) {
-    config.mode = CheckMode::kOff;
-  } else if (std::strcmp(value, "strict") == 0 || std::strcmp(value, "2") == 0) {
-    config.mode = CheckMode::kStrict;
-  } else if (std::strcmp(value, "1") == 0 || std::strcmp(value, "on") == 0 ||
-             std::strcmp(value, "warn") == 0) {
-    config.mode = CheckMode::kWarn;
+bool ParseCheckMode(const std::string& value, CheckMode* out) {
+  if (value == "0" || value == "off") {
+    *out = CheckMode::kOff;
+  } else if (value == "1" || value == "on" || value == "warn") {
+    *out = CheckMode::kWarn;
+  } else if (value == "2" || value == "strict") {
+    *out = CheckMode::kStrict;
   } else {
-    std::fprintf(stderr,
-                 "[check] unknown OASIS_CHECK mode \"%s\" (accepted: off|warn|strict)\n",
-                 value);
-    std::exit(kBadModeExitCode);
+    return false;
   }
-  return config;
+  return true;
 }
 
 void InvariantChecker::Report(const char* invariant, SimTime at, std::string detail,

@@ -8,23 +8,18 @@
 // sites across sim/, power/, hyper/ and cluster/ gate on IfEnabled() (one
 // relaxed atomic load, mirroring obs::Tracer) and report violations with the
 // simulated timestamp and structured args. CheckScope wires the checker to
-// the environment for a binary's main, exactly like obs::ObsScope:
+// a CheckConfig for a binary's main, exactly like obs::ObsScope; RunMain
+// (src/run) parses the mode from OASIS_CHECK, so
 //
 //     OASIS_CHECK=strict ./build/bench/fig08_energy_savings
 //
 // runs the full day with every invariant asserted and exits non-zero (with a
-// structured stderr report) if any fired.
-//
-// Environment variable:
-//   OASIS_CHECK=off|warn|strict   off (default): checker disabled, zero
-//                                 overhead beyond one predictable branch per
-//                                 hook and zero RNG draws.
-//                                 warn: record + report violations, exit
-//                                 status untouched.
-//                                 strict: like warn, but the process exits
-//                                 with status 2 once the scope closes if any
-//                                 violation was recorded.
-//                                 Any other value exits with status 2.
+// structured stderr report) if any fired. The modes:
+//   off (default)  checker disabled, zero overhead beyond one predictable
+//                  branch per hook and zero RNG draws.
+//   warn           record + report violations, exit status untouched.
+//   strict         like warn, but the process exits with status 2 once the
+//                  scope closes if any violation was recorded.
 //
 // Violations are triple-reported: a structured stderr line at record time,
 // an obs instant event (category "check") plus "check.violations" counter
@@ -60,20 +55,16 @@ const char* CheckModeName(CheckMode mode);
 
 // Exit status a strict CheckScope uses when violations were recorded.
 inline constexpr int kStrictExitCode = 2;
-// Exit status used when OASIS_CHECK names an unknown mode (the OASIS_PROF /
-// OASIS_POLICY convention).
-inline constexpr int kBadModeExitCode = 2;
+
+// Parses a mode name ("0", "off" -> off; "1", "on", "warn" -> warn; "2",
+// "strict" -> strict). Returns false on any other value, so a typo cannot
+// turn a strict run into a warn run that passes with violations.
+bool ParseCheckMode(const std::string& value, CheckMode* out);
 
 struct CheckConfig {
   CheckMode mode = CheckMode::kOff;
 
   bool Enabled() const { return mode != CheckMode::kOff; }
-
-  // Parses OASIS_CHECK ("", "0", "off" -> off; "1", "on", "warn" -> warn;
-  // "2", "strict" -> strict). Any other value prints the accepted spellings
-  // to stderr and exits with kBadModeExitCode, so a typo cannot turn a
-  // strict run into a warn run that passes with violations.
-  static CheckConfig FromEnv();
 };
 
 // One recorded invariant failure. `invariant` is a stable dotted identifier
@@ -199,20 +190,14 @@ class InvariantChecker {
   std::set<const char*> evaluated_;  // invariant ids are string literals
 };
 
-// RAII: installs an InvariantChecker per CheckConfig::FromEnv() for the
-// duration of a binary's main. On destruction it uninstalls, prints the
-// summary, and — in strict mode with violations recorded — exits the process
-// with kStrictExitCode. Declare it *before* ObsScope so traces and metrics
-// flush before a strict exit:
-//
-//     int main() {
-//       oasis::check::CheckScope check_scope;  // OASIS_CHECK
-//       oasis::obs::ObsScope obs_scope;        // OASIS_TRACE / OASIS_METRICS
-//       ...
-//     }
+// RAII: installs an InvariantChecker per `config` for the duration of a
+// binary's main. On destruction it uninstalls, prints the summary, and — in
+// strict mode with violations recorded — exits the process with
+// kStrictExitCode. RunMain opens it *before* the ObsScope, so traces and
+// metrics flush before a strict exit.
 class CheckScope {
  public:
-  explicit CheckScope(const CheckConfig& config = CheckConfig::FromEnv());
+  explicit CheckScope(const CheckConfig& config);
   ~CheckScope();
   CheckScope(const CheckScope&) = delete;
   CheckScope& operator=(const CheckScope&) = delete;

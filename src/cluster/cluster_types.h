@@ -104,8 +104,8 @@ struct ClusterConfig {
   // Which ConsolidationStrategy plans each interval (src/cluster/strategy.h).
   // Must name a registered strategy; the default is the paper's greedy
   // algorithm and is guaranteed to reproduce the legacy monolithic manager
-  // byte for byte. Override per process with OASIS_POLICY (see
-  // ApplyPolicyOverride).
+  // byte for byte. The bench/example mains set it from OASIS_POLICY
+  // (src/run/run_options.h).
   std::string strategy_name = "oasis-greedy";
   SimTime planning_interval = SimTime::Seconds(300);
   // A VM counts as idle for consolidation decisions only after this many

@@ -1,8 +1,5 @@
 #include "src/cluster/strategy.h"
 
-#include <cstdio>
-#include <cstdlib>
-
 namespace oasis {
 namespace {
 
@@ -59,19 +56,6 @@ std::unique_ptr<ConsolidationStrategy> MakeStrategy(const std::string& name) {
     }
   }
   return nullptr;
-}
-
-void ApplyPolicyOverride(ClusterConfig* config) {
-  const char* env = std::getenv("OASIS_POLICY");
-  if (env == nullptr || *env == '\0') {
-    return;
-  }
-  if (!IsRegisteredStrategyName(env)) {
-    std::fprintf(stderr, "OASIS_POLICY=%s names no registered strategy (registered: %s)\n",
-                 env, RegisteredStrategyNamesJoined().c_str());
-    std::exit(2);
-  }
-  config->strategy_name = env;
 }
 
 }  // namespace oasis

@@ -42,7 +42,7 @@ struct SimulationConfig {
   std::optional<TraceSet> fixed_trace;
   // Drives the trace generator, the cluster's RNG streams, and the fault
   // schedule; every bench/example main lets OASIS_SEED override it
-  // (obs::ApplySeedOverride).
+  // (src/run/run_options.h).
   uint64_t seed = 42;
 };
 

@@ -50,7 +50,6 @@ struct DatacenterRun {
 class ShardRunner {
  public:
   explicit ShardRunner(int jobs) : jobs_(jobs) {}
-  ShardRunner() : ShardRunner(exp::JobsFromEnv()) {}
 
   // Simulates every rack and returns the results in topology order.
   DatacenterRun Run(const DatacenterTopology& topology) const;

@@ -1,10 +1,5 @@
 #include "src/dc/topology.h"
 
-#include <cerrno>
-#include <climits>
-#include <cstdio>
-#include <cstdlib>
-
 #include "src/power/host_profile.h"
 
 namespace oasis {
@@ -98,23 +93,6 @@ StatusOr<DatacenterTopology> DatacenterTopology::Build(const DatacenterConfig& c
     topology.racks_.push_back(std::move(spec));
   }
   return topology;
-}
-
-void ApplyDatacenterEnvOverrides(DatacenterConfig* config) {
-  const char* env = std::getenv("OASIS_DC_RACKS");
-  if (env == nullptr || *env == '\0') {
-    return;
-  }
-  char* end = nullptr;
-  errno = 0;
-  long value = std::strtol(env, &end, 10);
-  if (end == nullptr || *end != '\0' || errno == ERANGE || value <= 0 || value > INT_MAX) {
-    std::fprintf(stderr,
-                 "OASIS_DC_RACKS=%s is not a positive integer (rack-count override)\n",
-                 env);
-    std::exit(2);
-  }
-  config->total_racks = static_cast<int>(value);
 }
 
 }  // namespace dc

@@ -16,12 +16,6 @@
 //     execution order;
 //   * topology order is pod-major ascending rack index; every consumer that
 //     folds per-rack data (ledger, coordinator, obs merge) walks that order.
-//
-// Environment:
-//   OASIS_DC_RACKS=<n>   overrides the total rack count (smoke grids, CI).
-//                        Anything but a positive integer exits with status 2,
-//                        matching the OASIS_CHECK/OASIS_PROF/OASIS_POLICY
-//                        unknown-value convention.
 
 #ifndef OASIS_SRC_DC_TOPOLOGY_H_
 #define OASIS_SRC_DC_TOPOLOGY_H_
@@ -112,11 +106,6 @@ class DatacenterTopology {
   DatacenterConfig config_;
   std::vector<RackSpec> racks_;
 };
-
-// Applies OASIS_DC_RACKS (and OASIS_SEED via the caller's usual
-// obs::ApplySeedOverride) to `config`. A value that is not a positive
-// integer prints the expected form to stderr and exits with status 2.
-void ApplyDatacenterEnvOverrides(DatacenterConfig* config);
 
 }  // namespace dc
 }  // namespace oasis

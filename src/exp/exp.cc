@@ -1,10 +1,6 @@
 #include "src/exp/exp.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <climits>
-#include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -45,21 +41,6 @@ uint64_t ExperimentPlan::DeriveSeed(uint64_t base, int repetition) {
 int HardwareJobs() {
   unsigned n = std::thread::hardware_concurrency();
   return n > 0 ? static_cast<int>(n) : 1;
-}
-
-int JobsFromEnv() {
-  const char* env = std::getenv("OASIS_JOBS");
-  if (env == nullptr || *env == '\0') {
-    return HardwareJobs();
-  }
-  char* end = nullptr;
-  errno = 0;
-  long value = std::strtol(env, &end, 10);
-  if (end == nullptr || *end != '\0' || errno == ERANGE || value <= 0 || value > INT_MAX) {
-    std::fprintf(stderr, "OASIS_JOBS=%s is not a positive integer (worker count)\n", env);
-    std::exit(2);
-  }
-  return static_cast<int>(value);
 }
 
 int EffectiveWorkers(int jobs, size_t run_count) {

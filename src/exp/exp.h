@@ -8,7 +8,7 @@
 //
 //   oasis::exp::ExperimentPlan plan;
 //   auto span = plan.AddRepetitions(config, 5);   // seeds derived per rep
-//   auto results = oasis::exp::RunParallel(plan); // OASIS_JOBS workers
+//   auto results = oasis::exp::RunParallel(plan, jobs);  // `jobs` workers
 //   auto agg = oasis::exp::CollectRepeated(results, span);
 //
 // The determinism contract (DESIGN.md § Performance & parallel experiments):
@@ -21,8 +21,7 @@
 //     floating-point reduction order matches the serial loop exactly;
 //   * jobs <= 1 executes the runs inline on the calling thread with no
 //     contexts at all — the exact legacy code path.
-// Under those rules the output is byte-identical for every value of
-// OASIS_JOBS.
+// Under those rules the output is byte-identical for every job count.
 
 #ifndef OASIS_SRC_EXP_EXP_H_
 #define OASIS_SRC_EXP_EXP_H_
@@ -73,12 +72,6 @@ class ExperimentPlan {
 // std::thread::hardware_concurrency(), at least 1.
 int HardwareJobs();
 
-// OASIS_JOBS when set, else HardwareJobs(). A value that is not a positive
-// integer within int range (non-digits, trailing junk, <= 0, overflow) is a
-// configuration error: it prints the value to stderr and exits with status 2
-// rather than silently falling back to every core.
-int JobsFromEnv();
-
 // The worker count RunParallel actually uses when asked for `jobs` over
 // `run_count` runs: clamped to the hardware (more workers than cores add
 // scheduling churn without parallelism) and to the run count (extra workers
@@ -92,9 +85,6 @@ int EffectiveWorkers(int jobs, size_t run_count);
 // obs::RunContext per run, contexts merged into the globals in plan order
 // after the pool drains. jobs <= 1: the inline legacy loop.
 std::vector<SimulationResult> RunParallel(const ExperimentPlan& plan, int jobs);
-inline std::vector<SimulationResult> RunParallel(const ExperimentPlan& plan) {
-  return RunParallel(plan, JobsFromEnv());
-}
 
 // Folds one repetition group of `results` into the RepeatedRunResult shape,
 // adding to the OnlineStats in repetition order (the serial reduction
@@ -104,9 +94,6 @@ RepeatedRunResult CollectRepeated(std::vector<SimulationResult>& results,
 
 // Drop-in parallel equivalent of oasis::RunRepeated(config, runs).
 RepeatedRunResult RunRepeated(const SimulationConfig& config, int runs, int jobs);
-inline RepeatedRunResult RunRepeated(const SimulationConfig& config, int runs) {
-  return RunRepeated(config, runs, JobsFromEnv());
-}
 
 }  // namespace exp
 }  // namespace oasis

@@ -18,9 +18,11 @@
 namespace oasis {
 
 struct MigrationTimingConfig {
-  // Effective pre-copy throughput. The §4.4 testbed migrates a 4 GiB VM over
-  // GigE in 41 s (≈100 MiB/s once dirty rounds are folded in); the cluster
-  // simulation assumes 10 GigE and 10 s per 4 GiB.
+  // Effective pre-copy throughput: the §4.4 testbed migrates a 4 GiB VM over
+  // GigE in 41 s. The cluster simulation instead takes §5.1's assumption of
+  // 10 s per 4 GiB over 10 GigE (kLiveMigrationBytesPerSec). Both are the
+  // paper's figures, not derived from a dirty-page model: no single dirty
+  // rate reproduces both (EXPERIMENTS.md, deviations).
   double live_migration_bytes_per_sec = 4.0 * 1024 * kMiB / 41.0;
 
   // Memory upload writes compressed pages to the shared SAS drive.

@@ -20,8 +20,8 @@ inline constexpr double kGigEBytesPerSec = 117.0 * kMiB;      // 1 GigE effectiv
 inline constexpr double kTenGigEBytesPerSec = 1170.0 * kMiB;  // 10 GigE effective
 inline constexpr double kSasBytesPerSec = 128.0 * kMiB;       // §4.3 measurement
 // Effective pre-copy live-migration throughput over 10 GigE: §5.1 assumes a
-// 4 GiB VM migrates in 10 s (from Deshpande et al.), i.e. ~409.6 MiB/s once
-// dirty-round overhead is folded in.
+// 4 GiB VM migrates in 10 s (from Deshpande et al.), i.e. ~409.6 MiB/s. The
+// figure is the paper's assumption, not derived from a dirty-page model.
 inline constexpr double kLiveMigrationBytesPerSec = 4.0 * 1024 * kMiB / 10.0;
 
 class Link {

@@ -2,7 +2,6 @@
 
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
 
 #include "src/common/log.h"
 
@@ -19,36 +18,6 @@ bool EndsWith(const std::string& s, const std::string& suffix) {
 
 bool ObsConfig::TraceIsJsonl() const { return EndsWith(trace_path, ".jsonl"); }
 
-ObsConfig ObsConfig::FromEnv() {
-  ObsConfig config;
-  if (const char* path = std::getenv("OASIS_TRACE")) {
-    config.trace_path = path;
-  }
-  if (const char* path = std::getenv("OASIS_METRICS")) {
-    config.metrics_path = path;
-  }
-  if (const char* cap = std::getenv("OASIS_TRACE_CAPACITY")) {
-    long n = std::atol(cap);
-    if (n > 0) {
-      config.trace_capacity = static_cast<size_t>(n);
-    }
-  }
-  if (const char* level = std::getenv("OASIS_LOG_LEVEL")) {
-    config.log_level = level;
-  }
-  if (const char* seed = std::getenv("OASIS_SEED")) {
-    char* end = nullptr;
-    unsigned long long value = std::strtoull(seed, &end, 0);
-    if (end != seed && *end == '\0') {
-      config.has_seed = true;
-      config.seed = static_cast<uint64_t>(value);
-    } else {
-      OASIS_LOG(kWarning) << "unparseable OASIS_SEED: " << seed;
-    }
-  }
-  return config;
-}
-
 void TimingLine(const char* format, ...) {
   // One buffered write per line so parallel runs do not interleave
   // mid-line (mirrors the structured-log discipline in src/common/log).
@@ -61,24 +30,9 @@ void TimingLine(const char* format, ...) {
   std::fprintf(stderr, "%s\n", line);
 }
 
-bool ApplySeedOverride(uint64_t* seed) {
-  ObsConfig config = ObsConfig::FromEnv();
-  if (!config.has_seed) {
-    return false;
-  }
-  OASIS_LOG(kInfo) << "OASIS_SEED=" << config.seed << " overrides seed " << *seed;
-  *seed = config.seed;
-  return true;
-}
-
 ObsScope::ObsScope(const ObsConfig& config) : config_(config) {
-  if (!config_.log_level.empty()) {
-    LogLevel level;
-    if (ParseLogLevel(config_.log_level, &level)) {
-      SetLogLevel(level);
-    } else {
-      OASIS_LOG(kWarning) << "unknown OASIS_LOG_LEVEL: " << config_.log_level;
-    }
+  if (config_.log_level) {
+    SetLogLevel(*config_.log_level);
   }
   if (config_.TracingRequested()) {
     Tracer& tracer = Tracer::Global();

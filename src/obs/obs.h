@@ -1,30 +1,24 @@
 // Process-level observability wiring.
 //
-// ObsConfig collects the environment-controlled knobs; ObsScope installs them
-// on the global Tracer / MetricsRegistry for the duration of a binary's main
-// and exports the collected data on the way out. Every bench/ and examples/
-// binary opens an ObsScope first thing, so
+// ObsConfig holds the observability knobs; ObsScope installs them on the
+// global Tracer / MetricsRegistry for the duration of a binary's main and
+// exports the collected data on the way out. RunMain (src/run) parses the
+// config from OASIS_TRACE, OASIS_METRICS, OASIS_TRACE_CAPACITY and
+// OASIS_LOG_LEVEL and opens the ObsScope for every bench/ and examples/
+// binary, so
 //
 //     OASIS_TRACE=trace.json ./build/bench/fig05_consolidation_latency
 //
 // emits a Perfetto-loadable trace with zero further plumbing.
-//
-// Environment variables:
-//   OASIS_TRACE=<path>       enable tracing; ".jsonl" suffix selects JSONL,
-//                            anything else Chrome trace_event JSON
-//   OASIS_METRICS=<path>     enable metrics; CSV snapshot written at exit
-//   OASIS_TRACE_CAPACITY=<n> ring-buffer size in events (default 65536)
-//   OASIS_SEED=<n>           override the simulation seed; binaries apply it
-//                            via ApplySeedOverride so one env var re-seeds
-//                            every bench/example without editing code
-//   OASIS_LOG_LEVEL=<level>  debug|info|warning|error|off
 
 #ifndef OASIS_SRC_OBS_OBS_H_
 #define OASIS_SRC_OBS_OBS_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
+#include "src/common/log.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
@@ -32,23 +26,15 @@ namespace oasis {
 namespace obs {
 
 struct ObsConfig {
-  std::string trace_path;    // empty = tracing disabled
+  std::string trace_path;    // empty = tracing disabled; ".jsonl" suffix = JSONL
   std::string metrics_path;  // empty = metrics disabled
   size_t trace_capacity = Tracer::kDefaultCapacity;
-  std::string log_level;  // empty = leave the global level alone
-  bool has_seed = false;  // OASIS_SEED present and parseable
-  uint64_t seed = 0;
+  std::optional<LogLevel> log_level;  // unset = leave the global level alone
 
   bool TracingRequested() const { return !trace_path.empty(); }
   bool MetricsRequested() const { return !metrics_path.empty(); }
   bool TraceIsJsonl() const;
-
-  static ObsConfig FromEnv();
 };
-
-// Replaces *seed with the OASIS_SEED value when the env var is set (and logs
-// the override so runs stay attributable). Returns true when it did.
-bool ApplySeedOverride(uint64_t* seed);
 
 // The wall-clock/timing output channel: one "[obs] "-tagged line on stderr
 // (printf formatting; the newline is appended). Golden-file tests pin
@@ -65,7 +51,7 @@ void TimingLine(const char* format, ...);
 // disables them on destruction (or on an explicit Flush()).
 class ObsScope {
  public:
-  explicit ObsScope(const ObsConfig& config = ObsConfig::FromEnv());
+  explicit ObsScope(const ObsConfig& config);
   ~ObsScope();
   ObsScope(const ObsScope&) = delete;
   ObsScope& operator=(const ObsScope&) = delete;

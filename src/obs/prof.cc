@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <map>
 
@@ -58,26 +56,17 @@ bool PhaseIsTimeline(Phase phase) { return kPhaseInfo[static_cast<int>(phase)].t
 
 const char* CountName(Count count) { return kCountName[static_cast<int>(count)]; }
 
-ProfConfig ProfConfig::FromEnv() {
-  ProfConfig config;
-  const char* env = std::getenv("OASIS_PROF");
-  if (env == nullptr || *env == '\0') {
-    return config;
-  }
-  std::string value(env);
-  if (value == "off" || value == "0") {
-    config.mode = ProfMode::kOff;
-  } else if (value == "summary" || value == "on" || value == "1") {
-    config.mode = ProfMode::kSummary;
-  } else if (value == "timeline" || value == "2") {
-    config.mode = ProfMode::kTimeline;
+bool ParseProfMode(const std::string& value, ProfMode* out) {
+  if (value == "0" || value == "off") {
+    *out = ProfMode::kOff;
+  } else if (value == "1" || value == "on" || value == "summary") {
+    *out = ProfMode::kSummary;
+  } else if (value == "2" || value == "timeline") {
+    *out = ProfMode::kTimeline;
   } else {
-    std::fprintf(stderr,
-                 "[prof] unknown OASIS_PROF mode \"%s\" (accepted: off|summary|timeline)\n",
-                 env);
-    std::exit(kBadModeExitCode);
+    return false;
   }
-  return config;
+  return true;
 }
 
 // --- Profiler ----------------------------------------------------------------
@@ -114,7 +103,7 @@ struct Profiler::ThreadProf {
   }
 };
 
-Profiler::Profiler() : epoch_ns_(NowNs()) {}
+Profiler::Profiler() : epoch_ns_(NowNs()), window_start_ns_(epoch_ns_) {}
 
 Profiler& Profiler::Instance() {
   static Profiler* profiler = new Profiler();  // never destroyed
@@ -186,6 +175,7 @@ void Profiler::Reset() {
   for (auto& buf : buffers_) {
     buf->ResetValues();
   }
+  window_start_ns_ = NowNs();
 }
 
 Report Profiler::Collect(bool reset) {
@@ -193,6 +183,8 @@ Report Profiler::Collect(bool reset) {
   Report report;
   report.mode = mode_.load(std::memory_order_relaxed);
   report.jobs = jobs_.load(std::memory_order_relaxed);
+  const uint64_t now_ns = NowNs();
+  report.window_s = static_cast<double>(now_ns - window_start_ns_) * 1e-9;
 
   // Drop accounting is read before the timeline export below, so the
   // report never blames the profiler's own wall events for evictions.
@@ -231,6 +223,8 @@ Report Profiler::Collect(bool reset) {
     for (int c = 0; c < kNumCounts; ++c) {
       report.counts[c] += buf->counts[c];
     }
+    report.threads += std::any_of(buf->hist.begin(), buf->hist.end(),
+                                  [](const obs::Histogram* h) { return h->count() > 0; });
     report.timeline_events += buf->timeline.size();
     report.timeline_dropped += buf->timeline_dropped;
   }
@@ -305,17 +299,24 @@ Report Profiler::Collect(bool reset) {
     for (auto& buf : buffers_) {
       buf->ResetValues();
     }
+    window_start_ns_ = now_ns;
   }
   return report;
 }
 
 // --- Report ------------------------------------------------------------------
 
+double Report::Share(const PhaseStats& phase) const {
+  const double available = window_s * threads;
+  return available > 0.0 ? phase.total_s / available : 0.0;
+}
+
 void Report::WriteTable(std::ostream& out) const {
   char line[256];
   std::snprintf(line, sizeof(line),
-                "[prof] wall-clock profile: mode=%s jobs=%d wall=%.3fs\n",
-                ProfModeName(mode), jobs, wall_s);
+                "[prof] wall-clock profile: mode=%s jobs=%d wall=%.3fs window=%.3fs "
+                "threads=%d\n",
+                ProfModeName(mode), jobs, wall_s, window_s, threads);
   out << line;
   std::snprintf(line, sizeof(line), "[prof]   %-22s %10s %10s %7s %11s %11s %11s %11s\n",
                 "phase", "count", "total_s", "share", "p50_us", "p95_us", "p99_us",
@@ -325,7 +326,7 @@ void Report::WriteTable(std::ostream& out) const {
     std::snprintf(line, sizeof(line),
                   "[prof]   %-22s %10llu %10.3f %6.1f%% %11.1f %11.1f %11.1f %11.1f\n",
                   p.name, static_cast<unsigned long long>(p.count), p.total_s,
-                  wall_s > 0.0 ? 100.0 * p.total_s / wall_s : 0.0, p.p50_s * 1e6,
+                  100.0 * Share(p), p.p50_s * 1e6,
                   p.p95_s * 1e6, p.p99_s * 1e6, p.max_s * 1e6);
     out << line;
   }

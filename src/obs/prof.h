@@ -16,14 +16,14 @@
 // jobs=N scaling loss — plus the trace-ring and metrics-merge drop counts so
 // silently truncated observability is visible.
 //
-// Environment variable (parsed by ProfSession, convention of OASIS_CHECK):
-//   OASIS_PROF=off|summary|timeline
-//     off (default)  zero clock reads: every site gates on one relaxed
-//                    atomic load and records nothing.
-//     summary        phase histograms + counters; report to stderr.
-//     timeline       summary plus per-worker timeline rows, exported into
-//                    the Chrome trace (OASIS_TRACE) as wall-clock tracks
-//                    under a second process ("oasis-wall").
+// The modes (a ProfConfig for ProfSession; RunMain parses it from
+// OASIS_PROF):
+//   off (default)  zero clock reads: every site gates on one relaxed atomic
+//                  load and records nothing.
+//   summary        phase histograms + counters; report to stderr.
+//   timeline       summary plus per-worker timeline rows, exported into the
+//                  Chrome trace (OASIS_TRACE) as wall-clock tracks under a
+//                  second process ("oasis-wall").
 //
 // The profiler never touches simulation state, RNG streams, or the sim-time
 // collectors' contents (timeline export appends to the trace *file* only,
@@ -61,19 +61,14 @@ enum class ProfMode {
 
 const char* ProfModeName(ProfMode mode);
 
-// Exit status used when OASIS_PROF names an unknown mode (matches the
-// OASIS_POLICY / OASIS_CHECK strict convention).
-inline constexpr int kBadModeExitCode = 2;
+// Parses a mode name ("0", "off" -> off; "1", "on", "summary" -> summary;
+// "2", "timeline" -> timeline). Returns false on any other value.
+bool ParseProfMode(const std::string& value, ProfMode* out);
 
 struct ProfConfig {
   ProfMode mode = ProfMode::kOff;
 
   bool Enabled() const { return mode != ProfMode::kOff; }
-
-  // Parses OASIS_PROF ("", "0", "off" -> off; "1", "on", "summary" ->
-  // summary; "2", "timeline" -> timeline). Any other value prints the
-  // accepted spellings to stderr and exits with kBadModeExitCode.
-  static ProfConfig FromEnv();
 };
 
 // The instrumented wall-clock phases. Timeline-grade phases (coarse, a few
@@ -136,11 +131,15 @@ struct WorkerRow {
 // The wall-clock diagnosis perf_sweep embeds in BENCH_sweep.json. The
 // scaling decomposition is phrased against the profiled RunParallel wall
 // time: parallel_efficiency = worker busy / (jobs * wall); the serial
-// fractions say where the non-parallel wall went.
+// fractions say where the non-parallel wall went. The table's share column
+// is phrased against the collection window instead (see Share), so it also
+// holds for phases recorded outside RunParallel.
 struct Report {
   ProfMode mode = ProfMode::kOff;
   int jobs = 0;
-  double wall_s = 0.0;  // total kRunParallel time in the collection window
+  double wall_s = 0.0;    // total kRunParallel time in the collection window
+  double window_s = 0.0;  // wall time since the window opened (last reset)
+  int threads = 0;        // threads that recorded a phase sample in the window
   std::vector<PhaseStats> phases;          // only phases with samples
   std::array<uint64_t, kNumCounts> counts{};
   std::vector<WorkerRow> workers;          // only pool workers
@@ -157,6 +156,11 @@ struct Report {
   uint64_t metrics_merge_dropped = 0;
 
   bool HasSamples() const { return !phases.empty(); }
+
+  // The phase's share of the thread time available in the window:
+  // total / (window * threads). A thread runs one instance of a phase at a
+  // time, so no share exceeds 1.
+  double Share(const PhaseStats& phase) const;
 
   // Human-readable table, each line tagged "[prof]" (stderr channel).
   void WriteTable(std::ostream& out) const;
@@ -200,7 +204,7 @@ class Profiler {
   // concurrently with recording threads.
   Report Collect(bool reset);
 
-  // Zeroes every thread buffer without reporting.
+  // Zeroes every thread buffer without reporting and opens a new window.
   void Reset();
 
  private:
@@ -212,6 +216,7 @@ class Profiler {
   std::atomic<ProfMode> mode_{ProfMode::kOff};
   std::atomic<int> jobs_{1};
   uint64_t epoch_ns_ = 0;  // timeline timestamps are relative to this
+  uint64_t window_start_ns_ = 0;  // the collection window opened here
   std::mutex mu_;          // guards buffers_ registration and Collect/Reset
   std::vector<std::unique_ptr<ThreadProf>> buffers_;
 };
@@ -241,20 +246,15 @@ class ProfScope {
   bool armed_ = false;
 };
 
-// RAII: wires the profiler to OASIS_PROF for a binary's main. Declare it
-// *after* ObsScope, so Finish() (destructor order) runs before the trace
-// file is exported and timeline rows make it into the Chrome JSON:
-//
-//     oasis::check::CheckScope check_scope;   // OASIS_CHECK
-//     oasis::obs::ObsScope obs_scope;         // OASIS_TRACE / OASIS_METRICS
-//     oasis::prof::ProfSession prof_session;  // OASIS_PROF
-//
+// RAII: sets the profiler's mode for a binary's main. RunMain opens it
+// *after* the ObsScope, so Finish() (destructor order) runs before the trace
+// file is exported and timeline rows make it into the Chrome JSON.
 // On destruction it collects whatever the binary has not collected itself
 // and prints the report table to stderr (skipped when empty, so harnesses
 // like perf_sweep that Collect(reset=true) per phase report exactly once).
 class ProfSession {
  public:
-  explicit ProfSession(const ProfConfig& config = ProfConfig::FromEnv());
+  explicit ProfSession(const ProfConfig& config);
   ~ProfSession();
   ProfSession(const ProfSession&) = delete;
   ProfSession& operator=(const ProfSession&) = delete;

@@ -1,6 +1,6 @@
-// The invariant checker itself: OASIS_CHECK parsing (unknown modes exit 2),
-// recording semantics, the walk-local Tally, the process-wide install gate,
-// the power-state transition legality hook, and the strict-mode exit contract (a seeded violation must turn into a
+// The invariant checker itself: recording semantics, the walk-local Tally,
+// the process-wide install gate, the power-state transition legality hook,
+// and the strict-mode exit contract (a seeded violation must turn into a
 // non-zero process exit with a structured stderr report — the acceptance
 // test for the whole subsystem).
 
@@ -23,41 +23,6 @@ using check::CheckMode;
 using check::CheckScope;
 using check::InvariantChecker;
 using check::Violation;
-
-CheckConfig ParseEnv(const char* value) {
-  if (value == nullptr) {
-    unsetenv("OASIS_CHECK");
-  } else {
-    setenv("OASIS_CHECK", value, 1);
-  }
-  CheckConfig config = CheckConfig::FromEnv();
-  unsetenv("OASIS_CHECK");
-  return config;
-}
-
-TEST(CheckConfigTest, FromEnvParsesEverySpelling) {
-  EXPECT_EQ(ParseEnv(nullptr).mode, CheckMode::kOff);
-  EXPECT_EQ(ParseEnv("").mode, CheckMode::kOff);
-  EXPECT_EQ(ParseEnv("0").mode, CheckMode::kOff);
-  EXPECT_EQ(ParseEnv("off").mode, CheckMode::kOff);
-  EXPECT_EQ(ParseEnv("1").mode, CheckMode::kWarn);
-  EXPECT_EQ(ParseEnv("on").mode, CheckMode::kWarn);
-  EXPECT_EQ(ParseEnv("warn").mode, CheckMode::kWarn);
-  EXPECT_EQ(ParseEnv("2").mode, CheckMode::kStrict);
-  EXPECT_EQ(ParseEnv("strict").mode, CheckMode::kStrict);
-  EXPECT_FALSE(ParseEnv("off").Enabled());
-  EXPECT_TRUE(ParseEnv("warn").Enabled());
-  EXPECT_TRUE(ParseEnv("strict").Enabled());
-}
-
-TEST(CheckConfigDeathTest, UnknownModeExitsTwo) {
-  // Same convention as OASIS_PROF / OASIS_POLICY: a typo must not turn a
-  // strict run into a warn run that passes with violations.
-  EXPECT_EXIT(ParseEnv("paranoid"), ::testing::ExitedWithCode(check::kBadModeExitCode),
-              "unknown OASIS_CHECK mode \"paranoid\"");
-  EXPECT_EXIT(ParseEnv("stirct"), ::testing::ExitedWithCode(check::kBadModeExitCode),
-              "unknown OASIS_CHECK mode \"stirct\"");
-}
 
 TEST(InvariantCheckerTest, ExpectCountsAndReportsOnlyFailures) {
   InvariantChecker checker(CheckMode::kWarn);

@@ -1,6 +1,6 @@
 // Unit tests for the datacenter hierarchy (src/dc): topology expansion and
-// seed derivation, the OASIS_DC_RACKS override convention, the coordinator's
-// drain sweep on hand-built timelines, and the merged ledger.
+// seed derivation, the coordinator's drain sweep on hand-built timelines,
+// and the merged ledger.
 //
 // Everything here runs on synthetic DatacenterRuns — no cluster simulation —
 // so the coordinator's arithmetic (S3 credits, wire-energy charges, cap and
@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <vector>
 
 #include "src/dc/coordinator.h"
@@ -125,33 +124,6 @@ TEST(DatacenterTopologyTest, ValidateRejectsBadConfigs) {
   config = DatacenterConfig();
   config.coordinator.cap_events_per_rack_day = 1.0;  // cap events, no cap watts
   EXPECT_FALSE(DatacenterTopology::Build(config).ok());
-}
-
-TEST(DatacenterEnvTest, RackCountOverrideParses) {
-  setenv("OASIS_DC_RACKS", "8", 1);
-  DatacenterConfig config;
-  ApplyDatacenterEnvOverrides(&config);
-  unsetenv("OASIS_DC_RACKS");
-  EXPECT_EQ(config.total_racks, 8);
-}
-
-TEST(DatacenterEnvDeathTest, UnknownRackCountExitsWithStatus2) {
-  // The OASIS_CHECK / OASIS_PROF / OASIS_POLICY convention: an OASIS_* knob
-  // set to something unusable is a hard configuration error, not a silent
-  // fallback.
-  DatacenterConfig config;
-  setenv("OASIS_DC_RACKS", "a-rack-count", 1);
-  EXPECT_EXIT(ApplyDatacenterEnvOverrides(&config), ::testing::ExitedWithCode(2),
-              "OASIS_DC_RACKS");
-  // Past INT_MAX, and past long's range (strtol reports ERANGE), the value
-  // must not be truncated into some other rack count.
-  for (const char* bad : {"-3", "4294967297", "99999999999999999999"}) {
-    setenv("OASIS_DC_RACKS", bad, 1);
-    EXPECT_EXIT(ApplyDatacenterEnvOverrides(&config), ::testing::ExitedWithCode(2),
-                "not a positive integer")
-        << "value: " << bad;
-  }
-  unsetenv("OASIS_DC_RACKS");
 }
 
 TEST(CoordinatorTest, OffModeReturnsZeroStats) {

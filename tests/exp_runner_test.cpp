@@ -8,7 +8,6 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <sstream>
 #include <vector>
 
@@ -75,31 +74,6 @@ TEST(ExperimentPlanTest, AddRepetitionsDerivesSeedsAtPlanBuildTime) {
   // The golden-ratio stride produces distinct streams.
   EXPECT_NE(exp::ExperimentPlan::DeriveSeed(100, 1), exp::ExperimentPlan::DeriveSeed(100, 2));
   EXPECT_EQ(exp::ExperimentPlan::DeriveSeed(100, 0), 100u);
-}
-
-TEST(JobsFromEnvTest, ParsesPositiveIntegersAndDefaultsToHardware) {
-  setenv("OASIS_JOBS", "1", 1);
-  EXPECT_EQ(exp::JobsFromEnv(), 1);
-  setenv("OASIS_JOBS", "4", 1);
-  EXPECT_EQ(exp::JobsFromEnv(), 4);
-  setenv("OASIS_JOBS", "", 1);
-  EXPECT_EQ(exp::JobsFromEnv(), exp::HardwareJobs());
-  unsetenv("OASIS_JOBS");
-  EXPECT_EQ(exp::JobsFromEnv(), exp::HardwareJobs());
-}
-
-TEST(JobsFromEnvDeathTest, MalformedWorkerCountExitsWithStatus2) {
-  // The OASIS_DC_RACKS convention: an OASIS_* knob set to something unusable
-  // is a hard configuration error, never a silent fallback to every core, and
-  // a value past INT_MAX (or past long's range, where strtol reports ERANGE)
-  // must not be truncated into some other worker count.
-  for (const char* bad : {"abc", "4x", "0", "-3", "4294967297", "99999999999999999999"}) {
-    setenv("OASIS_JOBS", bad, 1);
-    EXPECT_EXIT(exp::JobsFromEnv(), ::testing::ExitedWithCode(2),
-                "OASIS_JOBS=.* is not a positive integer")
-        << "value: " << bad;
-  }
-  unsetenv("OASIS_JOBS");
 }
 
 TEST(ThreadPoolTest, RunsEverySubmittedTask) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "src/mem/compression.h"
+#include "src/mem/page_content.h"
+
 namespace oasis {
 namespace {
 
@@ -99,6 +102,22 @@ TEST(MemoryServerTest, MultipleVmImagesAccumulate) {
   server.Upload(SimTime::Zero(), 2, 200 * kMiB);
   server.Upload(SimTime::Zero(), 1, 50 * kMiB);  // differential adds on
   EXPECT_EQ(server.StoredBytes(), 350 * kMiB);
+}
+
+TEST(MemoryServerTest, UploadedBytesReflectRealCompression) {
+  // The home host compresses a VM's generated pages before the upload; the
+  // server stores exactly the compressed volume, which lands between 10% and
+  // 100% of the raw pages.
+  PageContentGenerator content(42);
+  uint64_t uploaded = 0;
+  for (uint64_t page = 0; page < 256; ++page) {
+    uploaded += LzCompress(content.Generate(page)).size();
+  }
+  MemoryServer server;
+  server.Upload(SimTime::Zero(), 42, uploaded);
+  EXPECT_LT(uploaded, 256 * kPageSize);
+  EXPECT_GT(uploaded, 256 * kPageSize / 10);
+  EXPECT_EQ(server.StoredBytes(), uploaded);
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <sstream>
 
 #include "src/obs/metrics.h"
@@ -263,26 +262,6 @@ TEST(TracerTest, GlobalGateReturnsNullWhenDisabled) {
   Tracer::Global().set_enabled(true);
   EXPECT_EQ(Tracer::IfEnabled(), &Tracer::Global());
   Tracer::Global().set_enabled(false);
-}
-
-TEST(ObsConfigTest, FromEnvReadsAllKnobs) {
-  ::setenv("OASIS_TRACE", "/tmp/t.jsonl", 1);
-  ::setenv("OASIS_METRICS", "/tmp/m.csv", 1);
-  ::setenv("OASIS_TRACE_CAPACITY", "128", 1);
-  ::setenv("OASIS_LOG_LEVEL", "debug", 1);
-  ObsConfig config = ObsConfig::FromEnv();
-  EXPECT_TRUE(config.TracingRequested());
-  EXPECT_TRUE(config.TraceIsJsonl());
-  EXPECT_TRUE(config.MetricsRequested());
-  EXPECT_EQ(config.trace_capacity, 128u);
-  EXPECT_EQ(config.log_level, "debug");
-  ::unsetenv("OASIS_TRACE");
-  ::unsetenv("OASIS_METRICS");
-  ::unsetenv("OASIS_TRACE_CAPACITY");
-  ::unsetenv("OASIS_LOG_LEVEL");
-  ObsConfig off = ObsConfig::FromEnv();
-  EXPECT_FALSE(off.TracingRequested());
-  EXPECT_FALSE(off.MetricsRequested());
 }
 
 }  // namespace

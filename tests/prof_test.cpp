@@ -1,18 +1,18 @@
 // The wall-clock profiler's contract: percentile math is honest within the
-// log-linear bucket error, OASIS_PROF parsing matches the OASIS_CHECK
-// conventions (unknown modes exit 2), profiling provably never perturbs
-// simulation results, the per-thread buffers survive a real parallel
-// run at jobs=4 with a self-consistent report, and the check.walk layer
-// times every invariant walk and nothing else.
+// log-linear bucket error, profiling provably never perturbs simulation
+// results, the per-thread buffers survive a real parallel run at jobs=4
+// with a self-consistent report, the share column never exceeds 100%, and
+// the check.walk layer times every invariant walk and nothing else.
 
 #include "src/obs/prof.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
+#include <chrono>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/check/check.h"
@@ -34,30 +34,6 @@ SimulationConfig SmallCluster(uint64_t seed = 1234) {
   config.seed = seed;
   return config;
 }
-
-// Restores OASIS_PROF around each env-parsing test.
-class EnvGuard {
- public:
-  explicit EnvGuard(const char* name) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) {
-      had_ = true;
-      old_ = old;
-    }
-  }
-  ~EnvGuard() {
-    if (had_) {
-      setenv(name_, old_.c_str(), 1);
-    } else {
-      unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  bool had_ = false;
-  std::string old_;
-};
 
 // Zeroes profiler state around tests that enable it, so test order cannot
 // leak samples between cases.
@@ -123,41 +99,6 @@ TEST(ProfHistogramTest, PercentileClampedToObservedRange) {
   h->Record(5e-6);
   EXPECT_GE(h->Percentile(0.0), 3e-6);
   EXPECT_LE(h->Percentile(100.0), 5e-6);
-}
-
-// --- OASIS_PROF parsing ------------------------------------------------------
-
-TEST(ProfConfigTest, FromEnvAcceptedSpellings) {
-  EnvGuard guard("OASIS_PROF");
-  struct Case {
-    const char* value;  // nullptr = unset
-    ProfMode expected;
-  };
-  const Case cases[] = {
-      {nullptr, ProfMode::kOff}, {"", ProfMode::kOff},
-      {"off", ProfMode::kOff},   {"0", ProfMode::kOff},
-      {"summary", ProfMode::kSummary}, {"on", ProfMode::kSummary},
-      {"1", ProfMode::kSummary}, {"timeline", ProfMode::kTimeline},
-      {"2", ProfMode::kTimeline},
-  };
-  for (const Case& c : cases) {
-    if (c.value == nullptr) {
-      unsetenv("OASIS_PROF");
-    } else {
-      setenv("OASIS_PROF", c.value, 1);
-    }
-    EXPECT_EQ(ProfConfig::FromEnv().mode, c.expected)
-        << "OASIS_PROF=" << (c.value ? c.value : "<unset>");
-  }
-}
-
-TEST(ProfConfigDeathTest, UnknownModeExitsTwo) {
-  // Same convention as OASIS_CHECK / OASIS_POLICY: a typo must not silently
-  // run unprofiled for an hour.
-  EnvGuard guard("OASIS_PROF");
-  setenv("OASIS_PROF", "detailed", 1);
-  EXPECT_EXIT(ProfConfig::FromEnv(), ::testing::ExitedWithCode(kBadModeExitCode),
-              "unknown OASIS_PROF mode \"detailed\"");
 }
 
 // --- no effect on simulation output ------------------------------------------
@@ -322,6 +263,44 @@ TEST(ProfReportTest, JsonCarriesScalingFieldsAndParses) {
   std::ostringstream table;
   report.WriteTable(table);
   EXPECT_NE(table.str().find("[prof] top scaling bottleneck:"), std::string::npos);
+}
+
+TEST(ProfReportTest, ShareStaysWithinWindowForPhasesOutsideRunParallel) {
+  // Two threads record sim.dispatch outside any RunParallel, as ShardRunner's
+  // rack shards do; the main thread's RunParallel phase is far shorter. A
+  // share phrased against the RunParallel total would read ~4000% here.
+  ProfilerGuard profiler_guard;
+  Profiler::Instance().SetMode(ProfMode::kSummary);
+  std::vector<std::thread> shards;
+  for (int i = 0; i < 2; ++i) {
+    shards.emplace_back([] {
+      ProfScope scope(Phase::kSimDispatch);
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    });
+  }
+  for (std::thread& shard : shards) {
+    shard.join();
+  }
+  {
+    ProfScope scope(Phase::kRunParallel);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  Report report = Profiler::Instance().Collect(/*reset=*/true);
+  EXPECT_EQ(report.threads, 3);
+  EXPECT_GE(report.window_s, 0.020);
+  bool saw_dispatch = false;
+  for (const PhaseStats& phase : report.phases) {
+    EXPECT_LE(report.Share(phase), 1.0) << phase.name;
+    if (std::string(phase.name) == PhaseName(Phase::kSimDispatch)) {
+      saw_dispatch = true;
+      EXPECT_GT(phase.total_s, report.wall_s);  // the old denominator
+      EXPECT_GT(report.Share(phase), 0.0);
+    }
+  }
+  EXPECT_TRUE(saw_dispatch);
+  // wall_s keeps its meaning: the RunParallel total.
+  EXPECT_GE(report.wall_s, 0.001);
+  EXPECT_LT(report.wall_s, report.window_s);
 }
 
 TEST(ProfReportTest, MetricsMergeDropCountSurfaces) {
