@@ -1,16 +1,28 @@
 # Bad-configuration test driver, invoked via `cmake -P`:
 #
 #   cmake -DBINARY=<exe> -DKNOB=<OASIS_VAR=value> -P cmake/RunBadConfig.cmake
+#   cmake -DBINARY=<exe> -DARGS=<arg|arg|...> -P cmake/RunBadConfig.cmake
 #
 # Runs BINARY with every OASIS_* knob scrubbed except KNOB, which holds a
 # malformed value, and expects what RunMain promises for it: exit status 2,
-# exactly one "[config] ..." line on stderr, and nothing on stdout.
+# exactly one "[config] ..." line on stderr, and nothing on stdout. With
+# ARGS instead (command-line arguments, "|"-separated, one of them a
+# malformed number) the one stderr line is the binary's "usage: ..." line.
 
-foreach(required BINARY KNOB)
-  if(NOT DEFINED ${required})
-    message(FATAL_ERROR "RunBadConfig.cmake: -D${required}=... is required")
-  endif()
-endforeach()
+if(NOT DEFINED BINARY)
+  message(FATAL_ERROR "RunBadConfig.cmake: -DBINARY=... is required")
+endif()
+if(DEFINED ARGS)
+  string(REPLACE "|" ";" args "${ARGS}")
+  set(expected_line "^usage: [^\n]*\n$")
+  set(what "${ARGS}")
+elseif(DEFINED KNOB)
+  set(args "")
+  set(expected_line "^\\[config\\] [^\n]*\n$")
+  set(what "${KNOB}")
+else()
+  message(FATAL_ERROR "RunBadConfig.cmake: -DKNOB=... or -DARGS=... is required")
+endif()
 
 execute_process(
   COMMAND "${CMAKE_COMMAND}" -E env
@@ -19,18 +31,18 @@ execute_process(
           --unset=OASIS_CHECK --unset=OASIS_JOBS --unset=OASIS_DC_RACKS
           --unset=OASIS_POLICY --unset=OASIS_FLEET --unset=OASIS_BENCH_RUNS
           --unset=OASIS_CSV_DIR --unset=OASIS_BENCH_JSON --unset=OASIS_BENCH_GIT_SHA
-          "${KNOB}" "${BINARY}"
+          ${KNOB} "${BINARY}" ${args}
   RESULT_VARIABLE status
   OUTPUT_VARIABLE out
   ERROR_VARIABLE err)
 
 if(NOT status EQUAL 2)
-  message(FATAL_ERROR "${KNOB} ${BINARY}: exit status ${status}, expected 2\n${err}")
+  message(FATAL_ERROR "${what} ${BINARY}: exit status ${status}, expected 2\n${err}")
 endif()
 if(NOT out STREQUAL "")
-  message(FATAL_ERROR "${KNOB} ${BINARY}: wrote to stdout:\n${out}")
+  message(FATAL_ERROR "${what} ${BINARY}: wrote to stdout:\n${out}")
 endif()
-if(NOT err MATCHES "^\\[config\\] [^\n]*\n$")
-  message(FATAL_ERROR "${KNOB} ${BINARY}: stderr is not one [config] line:\n${err}")
+if(NOT err MATCHES "${expected_line}")
+  message(FATAL_ERROR "${what} ${BINARY}: stderr is not one expected line:\n${err}")
 endif()
-message(STATUS "${KNOB}: ${err}")
+message(STATUS "${what}: ${err}")

@@ -7,9 +7,11 @@
 // e.g. `capacity_planner 20 40 60` evaluates a 20-host, 800-VM farm whose
 // users attend 60% of weekdays.
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <string>
 
 #include "src/common/table.h"
 #include "src/cluster/strategy.h"
@@ -20,15 +22,48 @@
 namespace oasis {
 namespace {
 
-int Run(const RunOptions& options, int argc, char** argv) {
-  int home_hosts = argc > 1 ? std::atoi(argv[1]) : 30;
-  int vms_per_host = argc > 2 ? std::atoi(argv[2]) : 30;
-  double attendance = argc > 3 ? std::atof(argv[3]) / 100.0 : 0.76;
-  if (home_hosts <= 0 || vms_per_host <= 0 || attendance < 0.0 || attendance > 1.0) {
-    std::fprintf(stderr,
-                 "usage: capacity_planner [home_hosts>0] [vms_per_host>0] [attendance 0-100]\n");
-    return 1;
+// A malformed argument: one usage line naming it.
+int BadArgument(const char* what, const char* value, const std::string& reason) {
+  std::fprintf(stderr,
+               "usage: capacity_planner [home_hosts>0] [vms_per_host>0] [attendance 0-100]: "
+               "%s \"%s\" is %s\n",
+               what, value, reason.c_str());
+  return 2;
+}
+
+// A percentage in [0, 100], with nothing before or after the number.
+bool ParsePercent(const char* value, double* out) {
+  if ((value[0] < '0' || value[0] > '9') && value[0] != '.') {
+    return false;
   }
+  char* end = nullptr;
+  errno = 0;
+  const double parsed = std::strtod(value, &end);
+  if (*end != '\0' || errno == ERANGE || !(parsed >= 0.0 && parsed <= 100.0)) {
+    return false;
+  }
+  *out = parsed;
+  return true;
+}
+
+int Run(const RunOptions& options, int argc, char** argv) {
+  int home_hosts = 30;
+  int vms_per_host = 30;
+  double attendance_pct = 76.0;
+  if (argc > 1) {
+    if (Status status = ParsePositiveInt(argv[1], &home_hosts); !status.ok()) {
+      return BadArgument("home_hosts", argv[1], status.message());
+    }
+  }
+  if (argc > 2) {
+    if (Status status = ParsePositiveInt(argv[2], &vms_per_host); !status.ok()) {
+      return BadArgument("vms_per_host", argv[2], status.message());
+    }
+  }
+  if (argc > 3 && !ParsePercent(argv[3], &attendance_pct)) {
+    return BadArgument("attendance", argv[3], "not a percentage in [0, 100]");
+  }
+  const double attendance = attendance_pct / 100.0;
 
   std::printf("Sizing an Oasis deployment: %d home hosts x %d VMs (%d total), "
               "%.0f%% weekday attendance.\n\n",

@@ -8,7 +8,6 @@
 // versioned, hand-edited, and replayed into vdi_farm_day.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "src/run/run_options.h"
@@ -27,15 +26,23 @@ int Usage() {
   return 2;
 }
 
+// A malformed number on the gen command line: one usage line naming it.
+int BadGenArgument(const char* what, const char* value, const Status& error) {
+  std::fprintf(stderr,
+               "usage: trace_tool gen <path> <users> <weekday|weekend> [seed]: "
+               "%s \"%s\" is %s\n",
+               what, value, error.message().c_str());
+  return 2;
+}
+
 int Generate(const RunOptions& options, int argc, char** argv) {
   if (argc < 5) {
     return Usage();
   }
   const char* path = argv[2];
-  int users = std::atoi(argv[3]);
-  if (users <= 0) {
-    std::fprintf(stderr, "user count must be positive\n");
-    return 2;
+  int users = 0;
+  if (Status status = ParsePositiveInt(argv[3], &users); !status.ok()) {
+    return BadGenArgument("users", argv[3], status);
   }
   DayKind kind;
   if (std::strcmp(argv[4], "weekday") == 0) {
@@ -46,8 +53,12 @@ int Generate(const RunOptions& options, int argc, char** argv) {
     return Usage();
   }
   // An explicit CLI seed wins over OASIS_SEED.
-  const uint64_t seed =
-      argc > 5 ? std::strtoull(argv[5], nullptr, 10) : options.seed.value_or(42);
+  uint64_t seed = options.seed.value_or(42);
+  if (argc > 5) {
+    if (Status status = ParseSeed(argv[5], &seed); !status.ok()) {
+      return BadGenArgument("seed", argv[5], status);
+    }
+  }
 
   TraceGenerator generator(TraceGeneratorConfig{}, seed);
   TraceFile file{kind, generator.GenerateTraceSet(users, kind)};

@@ -140,6 +140,17 @@ class InvariantChecker {
       }
     }
 
+    // Bulk form for a loop that evaluates one rule `n` times and reports
+    // only its failures (through InvariantChecker::Report, which counts
+    // nothing): adds the n checks, and records the rule in the census when
+    // it ran at least once.
+    void Count(const char* invariant, uint64_t n) {
+      checks_ += n;
+      if (track_rules_ && n > 0) {
+        checker_.NoteEvaluated(invariant);
+      }
+    }
+
     // Checks counted so far and not yet added to checks_run.
     uint64_t checks() const { return checks_; }
 

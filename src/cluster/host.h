@@ -122,6 +122,10 @@ class ClusterHost {
   void AdvanceLedger(SimTime now) { ledger_.Advance(now); }
 
  private:
+  // Tests corrupt fields no simulation path can reach (capacity, S3
+  // capability) to prove the invariant walk reports them.
+  friend struct ClusterHostTestPeer;
+
   ClusterHost(HostId id, HostRole role, const ClusterConfig& config,
               const HostProfile& profile, bool initially_powered);
   void Transition(SimTime now, HostPowerState next);

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "src/check/check.h"
-#include "src/cluster/invariants.h"
 #include "src/common/log.h"
 #include "src/obs/metrics.h"
 #include "src/obs/prof.h"
@@ -111,7 +110,7 @@ ClusterMetrics ClusterManager::Run() {
   act_.AccrueEnergy(end);
   if (check::InvariantChecker* c = check::InvariantChecker::IfEnabled()) {
     prof::ProfScope walk_scope(prof::Phase::kCheckWalk);
-    CheckClusterInvariants(*this, end, *c);
+    walk_.Run(*this, end, *c);
   }
   metrics_.baseline_energy = BaselineEnergy(config_, trace_);
   metrics_.hosts_by_class.assign(static_cast<size_t>(config_.NumProfileClasses()), 0);
@@ -175,7 +174,7 @@ void ClusterManager::OnInterval(SimTime now, int interval) {
     // The conservation walk runs after every planning round, so a violation
     // is reported within one interval of the step that introduced it.
     prof::ProfScope walk_scope(prof::Phase::kCheckWalk);
-    CheckClusterInvariants(*this, now, *c);
+    walk_.Run(*this, now, *c);
   }
   // All the work above happens at one simulated instant; the round still
   // gets a span so Perfetto shows where each burst of migrations came from.

@@ -37,6 +37,7 @@
 #include "src/cluster/actuator.h"
 #include "src/cluster/cluster_types.h"
 #include "src/cluster/host.h"
+#include "src/cluster/invariants.h"
 #include "src/cluster/metrics.h"
 #include "src/cluster/strategy.h"
 #include "src/cluster/view.h"
@@ -76,6 +77,10 @@ class ClusterManager {
   // The whole state, for the invariant walk that re-derives its maintained
   // aggregates from the VM table every round.
   const ClusterState& state() const { return state_; }
+  // Writable state, for tests that corrupt one field and assert that the
+  // invariant walk reports exactly the rule guarding it. Never called by
+  // the simulation.
+  ClusterState& MutableStateForTest() { return state_; }
   const FaultInjector& fault_injector() const { return fault_; }
   const ConsolidationStrategy& strategy() const { return *strategy_; }
 
@@ -102,6 +107,8 @@ class ClusterManager {
   ClusterMetrics metrics_;
   std::unique_ptr<ConsolidationStrategy> strategy_;
   Actuator act_;  // constructed last: holds references to everything above
+  // The invariant walk's scratch, reused by every checked round.
+  ClusterInvariantWalk walk_;
 };
 
 }  // namespace oasis

@@ -1,6 +1,7 @@
 #include "src/cluster/oracle.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <tuple>
@@ -55,6 +56,12 @@ struct DayModel {
   std::vector<int> active_count;
   std::vector<uint64_t> parked_bytes;  // bytes the home parks if asleep then
   std::vector<uint8_t> parks_idle;     // parks at least one idle VM (ms on)
+  // Entry cost of a sleep episode starting there: migration-out at loaded
+  // power (serialized on the source NIC, capped at one interval) plus the
+  // S3 suspend.
+  std::vector<double> entry_j;
+  // Per home: the S3 resume ending an episode within the day.
+  std::vector<double> resume_j;
 
   size_t At(int h, int t) const {
     return static_cast<size_t>(h) * static_cast<size_t>(intervals) +
@@ -163,7 +170,33 @@ DayModel BuildModel(const ClusterConfig& config, const TraceSet& trace,
       }
     }
   }
+  m.entry_j.assign(cells, 0.0);
+  m.resume_j.assign(static_cast<size_t>(m.num_homes), 0.0);
+  for (int h = 0; h < m.num_homes; ++h) {
+    size_t cls = static_cast<size_t>(m.home_class[static_cast<size_t>(h)]);
+    m.resume_j[static_cast<size_t>(h)] = m.class_resume_j[cls];
+    for (int t = 0; t < m.intervals; ++t) {
+      size_t at = m.At(h, t);
+      int n_active = m.active_count[at];
+      int n_idle = m.vms_per_home - n_active;
+      double mig_s = std::min(kIntervalSeconds, static_cast<double>(n_idle) * m.partial_mig_s +
+                                                    static_cast<double>(n_active) * m.full_mig_s);
+      m.entry_j[at] = m.class_suspend_j[cls] +
+                      mig_s * (m.class_loaded_w[cls] - m.class_sleep_w[cls]);
+    }
+  }
   return m;
+}
+
+// Bit helpers over one sleep row (kSleepRowWords words; bits past the day
+// stay clear).
+bool RowBit(const uint64_t* row, int t) { return ((row[t >> 6] >> (t & 63)) & 1u) != 0; }
+void FlipRowBit(uint64_t* row, int t) { row[t >> 6] ^= uint64_t{1} << (t & 63); }
+
+// Bits [lo, hi) of one word, 0 <= lo < hi <= 64.
+uint64_t WordRange(int lo, int hi) {
+  uint64_t width = hi - lo == 64 ? ~uint64_t{0} : (uint64_t{1} << (hi - lo)) - 1;
+  return width << lo;
 }
 
 // Cluster draw at one interval given the sleeping-home aggregates
@@ -205,8 +238,9 @@ double PowerAt(const DayModel& m, const int* sleeping_by_class, int parked_activ
 // aggregates and energy terms.
 struct Schedule {
   const DayModel* m;
-  // rows[h][t] = 1 while home h sleeps.
-  std::vector<std::vector<uint8_t>> rows;
+  // Home h's sleep row: kSleepRowWords words from h * kSleepRowWords, bit
+  // t set while h sleeps in interval t.
+  std::vector<uint64_t> rows;
   // Per t: how many homes of each profile class sleep (flattened
   // t * num_classes + cls). Integer per-class counts keep every
   // incremental move exactly reversible, mixed fleet or not.
@@ -222,8 +256,7 @@ struct Schedule {
 
   explicit Schedule(const DayModel& model)
       : m(&model),
-        rows(static_cast<size_t>(model.num_homes),
-             std::vector<uint8_t>(static_cast<size_t>(model.intervals), 0)),
+        rows(static_cast<size_t>(model.num_homes) * kSleepRowWords, 0),
         sleeping_by_class(static_cast<size_t>(model.intervals) *
                               static_cast<size_t>(model.num_classes),
                           0),
@@ -234,55 +267,69 @@ struct Schedule {
         power(static_cast<size_t>(model.intervals), 0.0),
         trans(static_cast<size_t>(model.num_homes), 0.0) {}
 
+  uint64_t* Row(int h) { return &rows[static_cast<size_t>(h) * kSleepRowWords]; }
+  const uint64_t* Row(int h) const { return &rows[static_cast<size_t>(h) * kSleepRowWords]; }
+
   const int* SleepingAt(int t) const {
     return &sleeping_by_class[static_cast<size_t>(t) *
                               static_cast<size_t>(m->num_classes)];
   }
 
-  void AddHomeAt(int h, int t, int sign) {
+  // Interval t's parked load once home h's sleep bit flips (sign +1: h
+  // falls asleep, -1: it wakes).
+  struct Parked {
+    int active;
+    int idle;
+    uint64_t bytes;
+    int ms_on;
+  };
+  Parked ParkedAfter(int h, int t, int sign) const {
     size_t at = m->At(h, t);
     size_t ti = static_cast<size_t>(t);
-    sleeping_by_class[ti * static_cast<size_t>(m->num_classes) +
-                      static_cast<size_t>(m->home_class[static_cast<size_t>(h)])] += sign;
-    parked_active[ti] += sign * m->active_count[at];
-    parked_idle[ti] += sign * (m->vms_per_home - m->active_count[at]);
+    int active = m->active_count[at];
+    Parked p;
+    p.active = parked_active[ti] + sign * active;
+    p.idle = parked_idle[ti] + sign * (m->vms_per_home - active);
     if (sign > 0) {
-      parked_bytes[ti] += m->parked_bytes[at];
+      p.bytes = parked_bytes[ti] + m->parked_bytes[at];
     } else {
-      parked_bytes[ti] -= m->parked_bytes[at];
+      p.bytes = parked_bytes[ti] - m->parked_bytes[at];
     }
-    ms_on[ti] += sign * static_cast<int>(m->parks_idle[at]);
+    p.ms_on = ms_on[ti] + sign * static_cast<int>(m->parks_idle[at]);
+    return p;
   }
 
-  // Entry/exit costs of every sleep episode of home h: migration-out at
-  // loaded power (serialized on the source NIC, capped at one interval),
-  // the S3 suspend, and — when the episode ends within the day — the S3
-  // resume.
+  int& SleepingCount(int h, int t) {
+    return sleeping_by_class[static_cast<size_t>(t) * static_cast<size_t>(m->num_classes) +
+                             static_cast<size_t>(m->home_class[static_cast<size_t>(h)])];
+  }
+
+  void AddHomeAt(int h, int t, int sign) {
+    const Parked p = ParkedAfter(h, t, sign);
+    size_t ti = static_cast<size_t>(t);
+    SleepingCount(h, t) += sign;
+    parked_active[ti] = p.active;
+    parked_idle[ti] = p.idle;
+    parked_bytes[ti] = p.bytes;
+    ms_on[ti] = p.ms_on;
+  }
+
+  // Interval t's draw if home h's sleep bit flipped, leaving the schedule
+  // as it was.
+  double PowerIfToggled(int h, int t, int sign, bool* feasible) {
+    const Parked p = ParkedAfter(h, t, sign);
+    int& sleeping = SleepingCount(h, t);
+    sleeping += sign;
+    double w = PowerAt(*m, SleepingAt(t), p.active, p.idle, p.bytes, p.ms_on, feasible);
+    sleeping -= sign;
+    return w;
+  }
+
+  // Entry/exit costs of every sleep episode of home h: its entry cost, and
+  // -- when the episode ends within the day -- the S3 resume.
   double HomeTransitionCost(int h) const {
-    const std::vector<uint8_t>& row = rows[static_cast<size_t>(h)];
-    double cost = 0.0;
-    int t = 0;
-    while (t < m->intervals) {
-      if (row[static_cast<size_t>(t)] == 0) {
-        ++t;
-        continue;
-      }
-      int entry = t;
-      while (t < m->intervals && row[static_cast<size_t>(t)] != 0) {
-        ++t;
-      }
-      int n_active = m->active_count[m->At(h, entry)];
-      int n_idle = m->vms_per_home - n_active;
-      double mig_s = std::min(kIntervalSeconds, static_cast<double>(n_idle) * m->partial_mig_s +
-                                                    static_cast<double>(n_active) * m->full_mig_s);
-      size_t cls = static_cast<size_t>(m->home_class[static_cast<size_t>(h)]);
-      cost += m->class_suspend_j[cls] +
-              mig_s * (m->class_loaded_w[cls] - m->class_sleep_w[cls]);
-      if (t < m->intervals) {
-        cost += m->class_resume_j[cls];
-      }
-    }
-    return cost;
+    return SleepRowTransitionCost(Row(h), m->intervals, &m->entry_j[m->At(h, 0)],
+                                  m->resume_j[static_cast<size_t>(h)]);
   }
 
   // Recomputes every derived term from the rows (used after init).
@@ -295,7 +342,7 @@ struct Schedule {
     std::fill(ms_on.begin(), ms_on.end(), 0);
     for (int h = 0; h < m->num_homes; ++h) {
       for (int t = 0; t < m->intervals; ++t) {
-        if (rows[static_cast<size_t>(h)][static_cast<size_t>(t)] != 0) {
+        if (RowBit(Row(h), t)) {
           AddHomeAt(h, t, +1);
         }
       }
@@ -342,7 +389,7 @@ void InitSchedule(Schedule& s) {
       }
       if (t - run >= 2) {
         for (int u = run; u < t; ++u) {
-          s.rows[static_cast<size_t>(h)][static_cast<size_t>(u)] = 1;
+          FlipRowBit(s.Row(h), u);
         }
       }
     }
@@ -363,7 +410,7 @@ void InitSchedule(Schedule& s) {
       int worst = -1;
       uint64_t worst_bytes = 0;
       for (int h = 0; h < m.num_homes; ++h) {
-        if (s.rows[static_cast<size_t>(h)][ti] != 0 &&
+        if (RowBit(s.Row(h), t) &&
             (worst < 0 || m.parked_bytes[m.At(h, t)] > worst_bytes)) {
           worst = h;
           worst_bytes = m.parked_bytes[m.At(h, t)];
@@ -372,7 +419,7 @@ void InitSchedule(Schedule& s) {
       if (worst < 0) {
         break;  // nothing left to wake; PowerAt already clamps
       }
-      s.rows[static_cast<size_t>(worst)][ti] = 0;
+      FlipRowBit(s.Row(worst), t);
       s.AddHomeAt(worst, t, -1);
     }
   }
@@ -426,12 +473,9 @@ double RelaxedLowerBound(const DayModel& m) {
 void Anneal(Schedule& s, const OracleConfig& cfg, Rng& rng) {
   const DayModel& m = *s.m;
   std::vector<int> changed;
-  std::vector<double> old_power;
+  std::vector<double> new_power;
   int iters = std::max(1, cfg.sa_iterations);
   for (int i = 0; i < iters; ++i) {
-    double frac = static_cast<double>(i) / static_cast<double>(iters);
-    double temp = cfg.initial_temperature_j *
-                  std::pow(cfg.final_temperature_j / cfg.initial_temperature_j, frac);
     int h = static_cast<int>(rng.NextBelow(static_cast<uint64_t>(m.num_homes)));
     int t0 = static_cast<int>(rng.NextBelow(static_cast<uint64_t>(m.intervals)));
     int len = 1 + static_cast<int>(
@@ -443,66 +487,66 @@ void Anneal(Schedule& s, const OracleConfig& cfg, Rng& rng) {
     if (v != 0 && !m.Sleepable(h)) {
       continue;
     }
-    std::vector<uint8_t>& row = s.rows[static_cast<size_t>(h)];
+    uint64_t* row = s.Row(h);
 
+    // The intervals of [t0, t1) whose bit differs from v, ascending.
     changed.clear();
-    old_power.clear();
-    for (int t = t0; t < t1; ++t) {
-      if (row[static_cast<size_t>(t)] != v) {
-        changed.push_back(t);
+    new_power.clear();
+    for (int w = t0 >> 6; w * 64 < t1; ++w) {
+      uint64_t diff = (v != 0 ? ~row[w] : row[w]) &
+                      WordRange(std::max(t0 - w * 64, 0), std::min(t1 - w * 64, 64));
+      for (; diff != 0; diff &= diff - 1) {
+        changed.push_back(w * 64 + std::countr_zero(diff));
       }
     }
     if (changed.empty()) {
       continue;
     }
+    // Price the move before applying it: most moves are rejected, and an
+    // infeasible or rejected one then leaves nothing to undo.
     int sign = v != 0 ? +1 : -1;
     bool infeasible = false;
     double power_delta = 0.0;
-    size_t applied = 0;
     for (int t : changed) {
-      size_t ti = static_cast<size_t>(t);
-      old_power.push_back(s.power[ti]);
-      s.AddHomeAt(h, t, sign);
-      ++applied;
       bool feasible = true;
-      double p = PowerAt(m, s.SleepingAt(t), s.parked_active[ti], s.parked_idle[ti],
-                         s.parked_bytes[ti], s.ms_on[ti], &feasible);
+      double p = s.PowerIfToggled(h, t, sign, &feasible);
       if (v != 0 && !feasible) {
         infeasible = true;
         break;
       }
-      power_delta += p - s.power[ti];
-      s.power[ti] = p;
+      power_delta += p - s.power[static_cast<size_t>(t)];
+      new_power.push_back(p);
     }
     if (infeasible) {
-      for (size_t k = 0; k < applied; ++k) {
-        int t = changed[k];
-        s.AddHomeAt(h, t, -sign);
-        if (k + 1 < applied) {
-          s.power[static_cast<size_t>(t)] = old_power[k];
-        }
-      }
       continue;
     }
     for (int t : changed) {
-      row[static_cast<size_t>(t)] = v;
+      FlipRowBit(row, t);
     }
     double old_trans = s.trans[static_cast<size_t>(h)];
     double new_trans = s.HomeTransitionCost(h);
     double delta_j = power_delta * kIntervalSeconds + (new_trans - old_trans);
-    bool accept = delta_j <= 0.0 || rng.NextDouble() < std::exp(-delta_j / temp);
-    if (accept) {
-      s.power_sum += power_delta;
-      s.trans[static_cast<size_t>(h)] = new_trans;
-      s.trans_sum += new_trans - old_trans;
+    bool accept = delta_j <= 0.0;
+    if (!accept) {
+      // Only an uphill move reads the temperature.
+      double frac = static_cast<double>(i) / static_cast<double>(iters);
+      double temp = cfg.initial_temperature_j *
+                    std::pow(cfg.final_temperature_j / cfg.initial_temperature_j, frac);
+      accept = rng.NextDouble() < std::exp(-delta_j / temp);
+    }
+    if (!accept) {
+      for (int t : changed) {
+        FlipRowBit(row, t);
+      }
       continue;
     }
     for (size_t k = 0; k < changed.size(); ++k) {
-      int t = changed[k];
-      row[static_cast<size_t>(t)] = static_cast<uint8_t>(v == 0 ? 1 : 0);
-      s.AddHomeAt(h, t, -sign);
-      s.power[static_cast<size_t>(t)] = old_power[k];
+      s.AddHomeAt(h, changed[k], sign);
+      s.power[static_cast<size_t>(changed[k])] = new_power[k];
     }
+    s.power_sum += power_delta;
+    s.trans[static_cast<size_t>(h)] = new_trans;
+    s.trans_sum += new_trans - old_trans;
   }
 }
 
@@ -522,6 +566,38 @@ uint64_t DoubleBits(double v) {
 }
 
 }  // namespace
+
+double SleepRowTransitionCost(const uint64_t* row, int intervals, const double* entry_j,
+                              double resume_j) {
+  // First interval in [from, intervals) whose bit equals `set`, else
+  // `intervals`: one count-trailing-zeros per word instead of a bit walk.
+  auto next = [row, intervals](int from, bool set) {
+    if (from >= intervals) {
+      return intervals;
+    }
+    const uint64_t flip = set ? 0 : ~uint64_t{0};
+    int w = from >> 6;
+    uint64_t word = (row[w] ^ flip) & (~uint64_t{0} << (from & 63));
+    while (word == 0) {
+      ++w;
+      if (w * 64 >= intervals) {
+        return intervals;
+      }
+      word = row[w] ^ flip;
+    }
+    return std::min(intervals, w * 64 + std::countr_zero(word));
+  };
+  double cost = 0.0;
+  for (int entry = next(0, true); entry < intervals;) {
+    int end = next(entry, false);
+    cost += entry_j[entry];
+    if (end < intervals) {
+      cost += resume_j;
+    }
+    entry = next(end, true);
+  }
+  return cost;
+}
 
 uint64_t OracleResult::Digest() const {
   uint64_t hash = 1469598103934665603ULL;

@@ -91,6 +91,18 @@ class OfflineOracle {
   OracleConfig oracle_;
 };
 
+// One home's whole-day sleep schedule as the annealer stores it: bit t of
+// word t / 64 is set while the home sleeps in interval t; bits past the day
+// stay clear.
+inline constexpr int kSleepRowWords = (kIntervalsPerDay + 63) / 64;
+
+// A home's transition cost under `row` (at most kSleepRowWords * 64
+// intervals): over the maximal runs of set bits [entry, end), in order,
+// entry_j[entry] plus `resume_j` for each run that ends within the day.
+// The annealer prices every move with it.
+double SleepRowTransitionCost(const uint64_t* row, int intervals, const double* entry_j,
+                              double resume_j);
+
 // strategy_energy / oracle schedule energy - 1 (0 = matched the oracle).
 double OptimalityGap(Joules strategy_energy, const OracleResult& oracle);
 

@@ -15,7 +15,7 @@
 // "oasis-greedy" it consolidates less often but with tighter packings.
 
 #include <algorithm>
-#include <unordered_map>
+#include <cstdint>
 #include <vector>
 
 #include "src/cluster/actuator.h"
@@ -79,7 +79,7 @@ class FirstFitDecreasingStrategy : public ConsolidationStrategy {
       HostId host;
       uint64_t available;
       bool sleeping;
-      bool used = false;
+      bool woken_by_survivor = false;
     };
     std::vector<Bin> bins;
     for (size_t h = 0; h < view.num_hosts(); ++h) {
@@ -91,78 +91,68 @@ class FirstFitDecreasingStrategy : public ConsolidationStrategy {
       bins.push_back({host.id(), host.AvailableBytes(), !awake});
     }
 
-    std::unordered_map<VmId, HostId> dest_of;
-    std::unordered_map<HostId, bool> home_complete;
+    // Each packed VM's bin and sampled bytes, and which homes had every VM
+    // packed: flat per-VM and per-host tables, reused across rounds.
+    dest_bin_.assign(view.num_vms(), kUnplaced);
+    ws_of_.resize(view.num_vms());
+    home_complete_.assign(view.num_hosts(), 0);
     for (HostId home : homes) {
-      home_complete[home] = true;
+      home_complete_[home] = 1;
     }
     for (const Item& item : items) {
+      ws_of_[item.vm] = item.ws;
       bool placed = false;
-      for (Bin& bin : bins) {
-        if (bin.available >= item.ws) {
-          bin.available -= item.ws;
-          bin.used = true;
-          dest_of[item.vm] = bin.host;
+      for (size_t b = 0; b < bins.size(); ++b) {
+        if (bins[b].available >= item.ws) {
+          bins[b].available -= item.ws;
+          dest_bin_[item.vm] = static_cast<uint32_t>(b);
           placed = true;
           break;
         }
       }
       if (!placed) {
-        home_complete[item.home] = false;
+        home_complete_[item.home] = 0;
       }
     }
 
-    // Assemble the surviving (fully placed) homes, then re-derive which bins
-    // the survivors actually wake: a bin used only by dropped homes costs
+    // Assemble the surviving (fully placed) homes, and mark which bins the
+    // survivors actually wake: a bin used only by dropped homes costs
     // nothing.
     VacatePlan plan;
-    std::unordered_map<HostId, bool> bin_woken_by_survivor;
     for (HostId home : homes) {
-      if (!home_complete[home]) {
+      if (home_complete_[home] == 0) {
         continue;
       }
       std::vector<VacatePlacement> placements;
       for (VmId id : view.host(home).vms()) {
-        auto it = dest_of.find(id);
-        if (it == dest_of.end()) {
+        if (dest_bin_[id] == kUnplaced) {
           continue;  // packed before its home was dropped; unreachable here
         }
-        placements.push_back({id, it->second, /*as_partial=*/true,
-                              /*bytes=*/0});
+        Bin& bin = bins[dest_bin_[id]];
+        if (bin.sleeping) {
+          bin.woken_by_survivor = true;
+        }
+        placements.push_back({id, bin.host, /*as_partial=*/true, ws_of_[id]});
       }
       plan.hosts_to_vacate.push_back(home);
       plan.placements.push_back(std::move(placements));
     }
-    // Fill in the sampled bytes (the item list, not the placement walk,
-    // holds them) and count woken bins among surviving destinations.
-    std::unordered_map<VmId, uint64_t> ws_of;
-    for (const Item& item : items) {
-      ws_of[item.vm] = item.ws;
-    }
-    for (auto& placements : plan.placements) {
-      for (VacatePlacement& p : placements) {
-        p.bytes = ws_of.at(p.vm);
-        for (const Bin& bin : bins) {
-          if (bin.host == p.dest && bin.sleeping) {
-            bin_woken_by_survivor[p.dest] = true;
-          }
-        }
-      }
-    }
-    plan.newly_woken_consolidation_hosts =
-        static_cast<int>(bin_woken_by_survivor.size());
 
     // The same §3.1 gate as the greedy strategy, priced per host profile:
     // commit only when the plan saves power net of the consolidation hosts
     // it wakes (power_delta.h keeps the homogeneous fold bit-identical to
-    // the old single-profile arithmetic).
+    // the old single-profile arithmetic). The accumulator counts per profile
+    // class, so the order woken bins are added in does not change the sum.
     power_delta::DeltaAccumulator delta(view);
     for (HostId home : plan.hosts_to_vacate) {
       delta.AddVacatedHome(home);
     }
-    for (const auto& woken : bin_woken_by_survivor) {
-      delta.AddWokenConsolidationHost(woken.first);
+    for (const Bin& bin : bins) {
+      if (bin.woken_by_survivor) {
+        delta.AddWokenConsolidationHost(bin.host);
+      }
     }
+    plan.newly_woken_consolidation_hosts = delta.total_woken();
     plan.net_power_delta_watts = delta.NetWatts();
     if (plan.net_power_delta_watts <= 0.0 || plan.hosts_to_vacate.empty()) {
       return actions;
@@ -175,6 +165,12 @@ class FirstFitDecreasingStrategy : public ConsolidationStrategy {
     actions.committed_power_delta_watts += plan.net_power_delta_watts;
     return actions;
   }
+
+ private:
+  static constexpr uint32_t kUnplaced = UINT32_MAX;
+  std::vector<uint32_t> dest_bin_;      // per VM: index into this round's bins
+  std::vector<uint64_t> ws_of_;         // per VM: its sampled working set
+  std::vector<uint8_t> home_complete_;  // per host: every VM packed
 };
 
 }  // namespace

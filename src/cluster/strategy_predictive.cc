@@ -55,11 +55,17 @@ double ObservedActiveFraction(const ClusterView& view) {
   return static_cast<double>(active) / static_cast<double>(view.num_vms());
 }
 
+// The prior is a pure function of constants, so it is estimated once per
+// process (a 512-user Monte-Carlo) and every instance starts from a copy.
+const std::vector<double>& DiurnalPrior() {
+  static const std::vector<double> prior =
+      EstimateDiurnalPrior(TraceGeneratorConfig{}, DayKind::kWeekday, kPriorUsers, kPriorSeed);
+  return prior;
+}
+
 }  // namespace
 
-PredictiveStrategy::PredictiveStrategy()
-    : hist_(EstimateDiurnalPrior(TraceGeneratorConfig{}, DayKind::kWeekday, kPriorUsers,
-                                 kPriorSeed)) {}
+PredictiveStrategy::PredictiveStrategy() : hist_(DiurnalPrior()) {}
 
 double PredictiveStrategy::Forecast(int slot) const {
   size_t idx = static_cast<size_t>(slot % kIntervalsPerDay);

@@ -9,9 +9,7 @@
 #include "src/common/log.h"
 
 namespace oasis {
-namespace {
 
-// A positive int, with nothing before or after the digits.
 Status ParsePositiveInt(const std::string& value, int* out) {
   char* end = nullptr;
   errno = 0;
@@ -25,7 +23,6 @@ Status ParsePositiveInt(const std::string& value, int* out) {
   return Status::Ok();
 }
 
-// An unsigned 64-bit value in strtoull base-0 form (decimal, 0x hex, 0 octal).
 Status ParseSeed(const std::string& value, uint64_t* out) {
   char* end = nullptr;
   errno = 0;
@@ -37,6 +34,8 @@ Status ParseSeed(const std::string& value, uint64_t* out) {
   *out = static_cast<uint64_t>(parsed);
   return Status::Ok();
 }
+
+namespace {
 
 const std::vector<RunOption> kTable = {
     {"OASIS_TRACE", "write a trace here; a .jsonl suffix selects JSONL, else Chrome JSON",

@@ -65,6 +65,14 @@ const std::vector<RunOption>& RunOptionTable();
 
 using EnvMap = std::map<std::string, std::string>;
 
+// The table's number parsers, shared with command-line arguments so a
+// malformed number is rejected the same way wherever it is typed.
+// A positive int, with nothing before or after the digits.
+Status ParsePositiveInt(const std::string& value, int* out);
+// An unsigned 64-bit value in strtoull base-0 form (decimal, 0x hex, 0
+// octal), with nothing before or after it.
+Status ParseSeed(const std::string& value, uint64_t* out);
+
 // Parses the table's variables out of `env`; keys outside the table are
 // ignored. Returns the options, or the first malformed value's error.
 StatusOr<RunOptions> ParseRunOptions(const EnvMap& env);

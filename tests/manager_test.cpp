@@ -49,6 +49,17 @@ TraceSet OfficeHoursTrace(int users, int active_users) {
   return set;
 }
 
+// The cluster's reintegration latency and the page-level model's share one
+// fixed overhead (§4.4.2: 2.2 s of the 3.7 s average).
+TEST(ManagerTest, ReintegrationFixedOverheadIsTheMigrationModels) {
+  const ClusterTimings timings;
+  EXPECT_EQ(timings.reintegration_fixed,
+            MigrationModel().config().reintegration_fixed_overhead);
+  EXPECT_EQ(timings.reintegration_fixed, SimTime::Seconds(2.2));
+  EXPECT_EQ(timings.reintegration_fixed + timings.reintegration_transfer,
+            SimTime::Seconds(3.7));
+}
+
 TEST(ManagerTest, BaselineEnergyIsFlatLoadedDraw) {
   ClusterConfig config = SmallCluster(ConsolidationPolicy::kFullToPartial);
   TraceSet trace = UniformTrace(config.TotalVms(), false);

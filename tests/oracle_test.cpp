@@ -9,18 +9,22 @@
 //     against the oracle is non-negative (the oracle's relaxations only ever
 //     err in its favor, so no online policy can appear to beat hindsight);
 //   * strategy ordering — the predictive planner's weekday savings strictly
-//     beat the local-threshold ablation's, and clear the paper-scale floor.
+//     beat the local-threshold ablation's, and clear the paper-scale floor;
+//   * bit rows — the annealer's word-scan transition cost equals a
+//     byte-per-interval scan on runs that cross every word boundary.
 
 #include "src/cluster/oracle.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "src/check/check.h"
 #include "src/cluster/strategy.h"
+#include "src/common/rng.h"
 #include "src/core/oasis.h"
 #include "src/exp/exp.h"
 #include "tests/metric_digest.h"
@@ -148,6 +152,90 @@ TEST_F(OracleTest, GapStaysNonNegativeOnAHeterogeneousDay) {
     EXPECT_GE(gap, 0.0)
         << name << " appears to beat the hindsight oracle on a mixed fleet "
         << "(gap " << gap << ") — the per-class bound is unsound";
+  }
+}
+
+// The transition cost as the annealer priced it before bit rows: one byte
+// per interval, scanned run by run.
+double ByteScanTransitionCost(const std::vector<uint8_t>& asleep, const double* entry_j,
+                              double resume_j) {
+  const int n = static_cast<int>(asleep.size());
+  double cost = 0.0;
+  int t = 0;
+  while (t < n) {
+    if (asleep[static_cast<size_t>(t)] == 0) {
+      ++t;
+      continue;
+    }
+    int entry = t;
+    while (t < n && asleep[static_cast<size_t>(t)] != 0) {
+      ++t;
+    }
+    cost += entry_j[entry];
+    if (t < n) {
+      cost += resume_j;
+    }
+  }
+  return cost;
+}
+
+TEST(SleepRowTest, WordScanMatchesByteScanAcrossWordBoundaries) {
+  constexpr int n = kIntervalsPerDay;
+  std::vector<double> entry_j(static_cast<size_t>(n));
+  for (int t = 0; t < n; ++t) {
+    entry_j[static_cast<size_t>(t)] = 1000.0 + 0.5 * t;  // distinct per entry
+  }
+  const double resume_j = 7.25;
+  // Each case is a list of [lo, hi) sleep runs: every single run whose ends
+  // sit on or next to a word boundary (64, 128, 192, 256) or an end of the
+  // day, then rows of several runs that start, end or cross those bounds.
+  std::vector<int> edges;
+  for (int bound : {0, 64, 128, 192, 256, n}) {
+    for (int e = std::max(0, bound - 2); e <= std::min(n, bound + 1); ++e) {
+      edges.push_back(e);
+    }
+  }
+  std::vector<std::vector<std::pair<int, int>>> cases = {
+      {},
+      {{0, 63}, {64, 127}, {128, 255}, {256, 287}},
+      {{1, 63}, {65, 127}, {129, 255}, {257, 288}},
+      {{0, 1}, {63, 64}, {64, 65}, {127, 128}, {128, 129}, {255, 256}, {256, 257}, {287, 288}},
+  };
+  for (int lo : edges) {
+    for (int hi : edges) {
+      if (lo < hi) {
+        cases.push_back({{lo, hi}});
+      }
+    }
+  }
+  for (size_t c = 0; c < cases.size(); ++c) {
+    std::vector<uint8_t> asleep(static_cast<size_t>(n), 0);
+    uint64_t row[kSleepRowWords] = {};
+    for (const auto& [lo, hi] : cases[c]) {
+      for (int t = lo; t < hi; ++t) {
+        asleep[static_cast<size_t>(t)] = 1;
+        row[t / 64] |= uint64_t{1} << (t % 64);
+      }
+    }
+    EXPECT_EQ(SleepRowTransitionCost(row, n, entry_j.data(), resume_j),
+              ByteScanTransitionCost(asleep, entry_j.data(), resume_j))
+        << "case " << c;
+  }
+  // Random rows: runs of every length at every offset.
+  Rng rng(20160418);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<uint8_t> asleep(static_cast<size_t>(n), 0);
+    uint64_t row[kSleepRowWords] = {};
+    const uint64_t density = 1 + rng.NextBelow(7);
+    for (int t = 0; t < n; ++t) {
+      if (rng.NextBelow(8) < density) {
+        asleep[static_cast<size_t>(t)] = 1;
+        row[t / 64] |= uint64_t{1} << (t % 64);
+      }
+    }
+    EXPECT_EQ(SleepRowTransitionCost(row, n, entry_j.data(), resume_j),
+              ByteScanTransitionCost(asleep, entry_j.data(), resume_j))
+        << "trial " << trial;
   }
 }
 
